@@ -1,21 +1,21 @@
 //! Micro-bench: incremental SPT repair (`rbpc_graph::dynamic`) vs a full
-//! Dijkstra rebuild after a single edge failure.
+//! Dijkstra rebuild after a single edge failure, both on one `CsrGraph`.
 //!
 //! The failed edge is a tree edge whose detached subtree has the *median*
 //! size among all tree edges, so the repair workload is neither a leaf
 //! (trivially cheap) nor a root-adjacent cut (rebuild-sized).
 //!
-//! * `full_tree` — Dijkstra from scratch over the failed view (baseline).
+//! * `full_tree` — masked CSR Dijkstra from scratch (baseline).
 //! * `repair_single_edge` — repair of a pre-cloned tree; the clone happens
 //!   in the untimed batch setup, so this is the pure algorithmic cost the
 //!   bench gate holds ≥ 5× faster than `full_tree` on `powerlaw_5000`.
 //! * `clone_repair` — clone + repair in the timed routine: the honest
-//!   end-to-end cost the base-path oracles pay per `with_spt_under` call.
+//!   end-to-end cost the base-path stores pay per `with_spt_under` call.
 
 use rbpc_bench::{criterion_group, criterion_main, BatchSize, Criterion};
 use rbpc_graph::{
-    repair_after_failure, shortest_path_tree, CostModel, EdgeId, FailureSet, Metric, NodeId,
-    ShortestPathTree,
+    repair_after_failures, CostModel, CsrGraph, DijkstraScratch, EdgeId, FailureMask, Metric,
+    NodeId, RepairScratch, ShortestPathTree,
 };
 use rbpc_topo::{gnm_connected, internet_like_scaled};
 use std::hint::black_box;
@@ -47,19 +47,21 @@ fn bench_spt_repair(c: &mut Criterion) {
         ("powerlaw_5000", &power),
     ] {
         let source = NodeId::new(0);
-        let base = shortest_path_tree(graph, &model, source);
-        let failed = median_subtree_edge(&base);
-        let failures = FailureSet::of_edge(failed);
-        let view = failures.view(graph);
+        let csr = CsrGraph::new(graph, &model);
+        let mut dijkstra = DijkstraScratch::new(csr.node_count());
+        let mut scratch = RepairScratch::new();
+        let base = csr.full_tree(source, &mut dijkstra);
+        let mut mask = FailureMask::new(csr.node_count(), csr.edge_count());
+        mask.fail_edge(median_subtree_edge(&base));
 
         g.bench_function(format!("{name}/full_tree"), |b| {
-            b.iter(|| shortest_path_tree(black_box(&view), &model, source))
+            b.iter(|| csr.full_tree_masked(source, Some(black_box(&mask)), &mut dijkstra))
         });
         g.bench_function(format!("{name}/repair_single_edge"), |b| {
             b.iter_batched(
                 || base.clone(),
                 |mut tree| {
-                    repair_after_failure(&mut tree, black_box(&view), &model, failed);
+                    repair_after_failures(&mut tree, &csr, black_box(&mask), &mut scratch);
                     tree
                 },
                 BatchSize::LargeInput,
@@ -68,7 +70,7 @@ fn bench_spt_repair(c: &mut Criterion) {
         g.bench_function(format!("{name}/clone_repair"), |b| {
             b.iter(|| {
                 let mut tree = base.clone();
-                repair_after_failure(&mut tree, black_box(&view), &model, failed);
+                repair_after_failures(&mut tree, &csr, black_box(&mask), &mut scratch);
                 tree
             })
         });

@@ -11,18 +11,27 @@
 //!
 //! * [`DenseBasePaths`] precomputes every source's tree — right for graphs
 //!   up to a few thousand nodes (the paper's ISP);
-//! * [`LazyBasePaths`] computes trees on demand behind a bounded cache —
-//!   right for the 4 746-node AS graph and the 40 377-node Internet map,
-//!   where the paper (and we) sample pairs rather than enumerate them.
+//! * [`LazyBasePaths`] computes trees on demand behind a bounded FIFO
+//!   cache — right for the 4 746-node AS graph, where the paper (and we)
+//!   sample pairs rather than enumerate them.
 //!
-//! Both return bit-identical answers because the trees are canonical for a
-//! given `(metric, seed)`.
+//! Each owns one [`CsrGraph`] of its graph, as the sharded store
+//! ([`crate::store`]) does. Every tree comes from the batched CSR kernel
+//! ([`par_all_sources_csr`]): the dense build, lazy misses, and lazy
+//! prefetches alike. Trees under failures come from repairing a clone of
+//! the resident unfailed tree on that same `CsrGraph`
+//! ([`repair_after_failures`]), failed source routers included, so the
+//! restore path has one graph representation.
+//!
+//! All stores return bit-identical answers because the trees are
+//! canonical for a given `(metric, seed)`.
 
 use rbpc_graph::{
-    par_all_sources, repair_after_failures, shortest_path_tree, CostModel, EdgeId, FailureSet,
-    Graph, NodeId, ParStats, Path, PathCost, ShortestPathTree,
+    par_all_sources_csr, repair_after_failures, CostModel, CsrGraph, DijkstraScratch, FailureMask,
+    FailureSet, Graph, NodeId, ParStats, Path, PathCost, RepairScratch, ShortestPathTree,
 };
 use rbpc_obs::{obs_count, obs_record, obs_span, obs_trace};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -67,43 +76,36 @@ pub(crate) fn record_par_stats(stats: &ParStats) {
     let _ = stats;
 }
 
-/// Repairs a clone of `base` to reflect `failures`, via
-/// [`repair_after_failures`] — the shared fast path behind
-/// [`BasePathOracle::with_spt_under`] for oracles that store unfailed
-/// trees. The caller must have ruled out a failed `source` (not
-/// expressible as a repair).
-pub(crate) fn repaired_tree(
-    graph: &Graph,
-    model: &CostModel,
-    base: &ShortestPathTree,
-    failures: &FailureSet,
-) -> ShortestPathTree {
-    // A node failure is equivalent to failing all of its incident edges;
-    // the dead node itself never re-attaches because the view masks them.
-    let mut edges: Vec<EdgeId> = failures.failed_edges().collect();
-    for v in failures.failed_nodes() {
-        edges.extend(graph.neighbors(v).map(|h| h.edge));
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    let view = failures.view(graph);
-    let _span = obs_span!("spt.repair.ns");
-    let mut tree = base.clone();
-    let stats = repair_after_failures(&mut tree, &view, model, &edges);
-    obs_record!("spt.repair.nodes_touched", stats.nodes_touched as u64);
-    tree
-}
-
-/// Rebuilds a tree from scratch over the failed view — the slow path used
-/// when no unfailed tree is available or the source itself is failed.
-pub(crate) fn rebuilt_tree(
-    graph: &Graph,
-    model: &CostModel,
+/// The stores' `with_spt_under`: runs `f` with `source`'s tree under
+/// `failures`, repaired from a clone of `oracle`'s resident unfailed tree
+/// on `csr` (see [`repair_after_failures`]). The failed tree is transient
+/// and never cached, so the store stays canonical.
+pub(crate) fn with_repaired_spt<O: BasePathOracle, R>(
+    oracle: &O,
+    csr: &CsrGraph,
     source: NodeId,
     failures: &FailureSet,
-) -> ShortestPathTree {
-    let _span = obs_span!("spt.rebuild.ns");
-    shortest_path_tree(&failures.view(graph), model, source)
+    f: impl FnOnce(&ShortestPathTree) -> R,
+) -> R {
+    thread_local! {
+        static SCRATCH: RefCell<RepairScratch> = RefCell::new(RepairScratch::new());
+    }
+    if failures.is_empty() {
+        return oracle.with_spt(source, f);
+    }
+    let mask = FailureMask::from_set(csr, failures);
+    oracle.with_spt(source, |base| {
+        let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
+        let tree = {
+            let _span = obs_span!("spt.repair.ns");
+            let mut tree = base.clone();
+            let stats =
+                SCRATCH.with(|s| repair_after_failures(&mut tree, csr, &mask, &mut s.borrow_mut()));
+            obs_record!("spt.repair.nodes_touched", stats.nodes_touched as u64);
+            tree
+        };
+        f(&tree)
+    })
 }
 
 /// The provisioned base set: one canonical shortest path per ordered pair.
@@ -128,12 +130,13 @@ pub trait BasePathOracle {
     /// graph with `failures` applied — the tree a router recomputes when
     /// links go down.
     ///
-    /// The default implementation rebuilds from scratch (recorded under the
-    /// `spt.rebuild.ns` histogram). [`DenseBasePaths`] and
-    /// [`LazyBasePaths`] override it to *repair* their cached unfailed tree
-    /// incrementally (`spt.repair.ns` / `spt.repair.nodes_touched`), which
-    /// yields a bit-identical tree because padded costs make shortest paths
-    /// unique — see [`rbpc_graph::repair_after_failures`].
+    /// The default implementation is the from-scratch reference: it
+    /// freezes the graph into a fresh [`CsrGraph`] and runs one masked
+    /// Dijkstra (recorded under the `spt.rebuild.ns` histogram). Every
+    /// store overrides it to *repair* its resident unfailed tree
+    /// (`spt.repair.ns` / `spt.repair.nodes_touched`), which yields a
+    /// bit-identical tree because padded costs make shortest paths unique
+    /// — see [`rbpc_graph::repair_after_failures`].
     ///
     /// # Panics
     ///
@@ -147,12 +150,17 @@ pub trait BasePathOracle {
         if failures.is_empty() {
             return self.with_spt(source, f);
         }
-        f(&rebuilt_tree(
-            self.graph(),
-            self.cost_model(),
-            source,
-            failures,
-        ))
+        let tree = {
+            let _span = obs_span!("spt.rebuild.ns");
+            let csr = CsrGraph::new(self.graph(), self.cost_model());
+            let mask = FailureMask::from_set(&csr, failures);
+            csr.full_tree_masked(
+                source,
+                Some(&mask),
+                &mut DijkstraScratch::new(csr.node_count()),
+            )
+        };
+        f(&tree)
     }
 
     /// The canonical shortest path from `s` to `t` over the failed view,
@@ -209,7 +217,7 @@ pub trait BasePathOracle {
 #[derive(Debug, Clone)]
 pub struct DenseBasePaths {
     graph: Graph,
-    model: CostModel,
+    csr: CsrGraph,
     trees: Vec<ShortestPathTree>,
 }
 
@@ -219,7 +227,7 @@ impl DenseBasePaths {
     ///
     /// The trees are bit-identical for every thread count (padded costs
     /// make them canonical), so parallel provisioning is an invisible
-    /// speedup — see [`rbpc_graph::par_all_sources`].
+    /// speedup — see [`rbpc_graph::par_all_sources_csr`].
     pub fn build(graph: Graph, model: CostModel) -> Self {
         Self::build_with_threads(graph, model, default_threads())
     }
@@ -228,14 +236,11 @@ impl DenseBasePaths {
     /// (the eval binary's `--threads` flag lands here). `0` means 1.
     pub fn build_with_threads(graph: Graph, model: CostModel, threads: usize) -> Self {
         let _span = obs_span!("core.provision.build.ns");
+        let csr = CsrGraph::new(&graph, &model);
         let sources: Vec<NodeId> = graph.nodes().collect();
-        let (trees, stats) = par_all_sources(&graph, &model, &sources, threads);
+        let (trees, stats) = par_all_sources_csr(&csr, None, &sources, threads);
         record_par_stats(&stats);
-        DenseBasePaths {
-            graph,
-            model,
-            trees,
-        }
+        DenseBasePaths { graph, csr, trees }
     }
 
     /// Direct access to a source's tree.
@@ -254,7 +259,7 @@ impl BasePathOracle for DenseBasePaths {
     }
 
     fn cost_model(&self) -> &CostModel {
-        &self.model
+        self.csr.model()
     }
 
     fn with_spt<R>(&self, source: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
@@ -267,33 +272,21 @@ impl BasePathOracle for DenseBasePaths {
         failures: &FailureSet,
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
-        if failures.is_empty() {
-            return self.with_spt(source, f);
-        }
-        if failures.node_failed(source) {
-            // Not expressible as a repair; the rebuild early-exits anyway.
-            return f(&rebuilt_tree(&self.graph, &self.model, source, failures));
-        }
-        let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
-        f(&repaired_tree(
-            &self.graph,
-            &self.model,
-            &self.trees[source.index()],
-            failures,
-        ))
+        with_repaired_spt(self, &self.csr, source, failures, f)
     }
 }
 
 /// On-demand base paths with a bounded FIFO tree cache.
 ///
 /// Answers are identical to [`DenseBasePaths`] (trees are canonical); only
-/// memory and latency differ. Thread-safe: the cache is lock-protected and
-/// trees are shared via [`Arc`], so parallel experiment sampling can share
-/// one oracle.
+/// memory and latency differ. A miss builds its tree on the batched CSR
+/// kernel over the store's own [`CsrGraph`]. Thread-safe: the cache is
+/// lock-protected and trees are shared via [`Arc`], so parallel
+/// experiment sampling can share one oracle.
 #[derive(Debug)]
 pub struct LazyBasePaths {
     graph: Graph,
-    model: CostModel,
+    csr: CsrGraph,
     cache: Mutex<LazyCache>,
     capacity: usize,
     evicted: std::sync::atomic::AtomicU64,
@@ -318,12 +311,14 @@ impl LazyBasePaths {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0` or the graph exceeds
+    /// [`CostModel::MAX_NODES`] nodes.
     pub fn with_capacity(graph: Graph, model: CostModel, capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be positive");
+        let csr = CsrGraph::new(&graph, &model);
         LazyBasePaths {
             graph,
-            model,
+            csr,
             cache: Mutex::new(LazyCache::default()),
             capacity,
             evicted: std::sync::atomic::AtomicU64::new(0),
@@ -345,17 +340,46 @@ impl LazyBasePaths {
         self.evicted.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Runs `f` with `source`'s tree only if it is already cached;
-    /// returns `None` (computing nothing) otherwise. Lets batch layers
-    /// probe residency without triggering a Dijkstra.
-    pub fn with_spt_if_cached<R>(
-        &self,
-        source: NodeId,
-        f: impl FnOnce(&ShortestPathTree) -> R,
-    ) -> Option<R> {
+    /// Caches the tree of every source in `sources`, building the missing
+    /// ones on the batched CSR kernel. Builds, evictions and FIFO order
+    /// are exactly those of calling [`with_spt`](BasePathOracle::with_spt)
+    /// on each source in turn; only the builds are batched. A batch is
+    /// cut at one cache capacity, and before a source that is cached now
+    /// but might not be once the pending batch lands. Returns how many
+    /// trees were built.
+    pub(crate) fn prefetch_batch(&self, sources: &[NodeId]) -> usize {
+        let mut pending: Vec<NodeId> = Vec::new();
+        let mut built = 0;
+        for &s in sources {
+            if pending.contains(&s) {
+                continue;
+            }
+            if !pending.is_empty() && (pending.len() == self.capacity || self.is_cached(s)) {
+                built += self.build_and_cache(&std::mem::take(&mut pending));
+            }
+            if !self.is_cached(s) {
+                pending.push(s);
+            }
+        }
+        built + self.build_and_cache(&pending)
+    }
+
+    fn is_cached(&self, source: NodeId) -> bool {
         let key = source.index() as u32;
-        let cached = lock_unpoisoned(&self.cache).map.get(&key).map(Arc::clone);
-        cached.map(|t| f(&t))
+        lock_unpoisoned(&self.cache).map.contains_key(&key)
+    }
+
+    /// Builds `sources` as one batch and caches them in order.
+    fn build_and_cache(&self, sources: &[NodeId]) -> usize {
+        if sources.is_empty() {
+            return 0;
+        }
+        obs_count!("core.basepaths.cache_miss", sources.len() as u64);
+        let _t = obs_trace!("spt.build", cat: "lookup", sources = sources.len());
+        for (&s, tree) in sources.iter().zip(self.build(sources)) {
+            self.cache_tree(s, tree);
+        }
+        sources.len()
     }
 
     fn tree(&self, source: NodeId) -> Arc<ShortestPathTree> {
@@ -368,11 +392,28 @@ impl LazyBasePaths {
         // Compute outside the lock; a racing thread may duplicate the work
         // but the result is identical either way.
         let _t = obs_trace!("spt.build", cat: "lookup", source = source.index());
-        let computed = Arc::new(shortest_path_tree(&self.graph, &self.model, source));
+        let built = self.build(&[source]).pop();
+        self.cache_tree(source, built.expect("invariant: one tree per source"))
+    }
+
+    /// Builds the trees of `sources`, in order, as one batch on the
+    /// calling thread: the store has no thread budget of its own, and
+    /// trees allocated by short-lived workers would strand their freed
+    /// memory in those workers' allocator arenas as the FIFO cycles.
+    fn build(&self, sources: &[NodeId]) -> Vec<ShortestPathTree> {
+        let (trees, stats) = par_all_sources_csr(&self.csr, None, sources, 1);
+        record_par_stats(&stats);
+        trees
+    }
+
+    /// Caches a freshly built tree at the FIFO tail, evicting from the
+    /// head to stay within capacity, and returns the cached copy.
+    fn cache_tree(&self, source: NodeId, tree: ShortestPathTree) -> Arc<ShortestPathTree> {
+        let key = source.index() as u32;
         let mut cache = lock_unpoisoned(&self.cache);
         if let Some(t) = cache.map.get(&key) {
             // A racing thread built this tree while we were computing it:
-            // our Dijkstra was duplicated work. Keep theirs (identical
+            // our build was duplicated work. Keep theirs (identical
             // contents, and it is already in FIFO order) and count it.
             obs_count!("core.basepaths.duplicate_spt");
             return Arc::clone(t);
@@ -387,9 +428,10 @@ impl LazyBasePaths {
                 break;
             }
         }
-        cache.map.insert(key, Arc::clone(&computed));
+        let tree = Arc::new(tree);
+        cache.map.insert(key, Arc::clone(&tree));
         cache.order.push_back(key);
-        computed
+        tree
     }
 }
 
@@ -399,7 +441,7 @@ impl BasePathOracle for LazyBasePaths {
     }
 
     fn cost_model(&self) -> &CostModel {
-        &self.model
+        self.csr.model()
     }
 
     fn with_spt<R>(&self, source: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
@@ -413,17 +455,7 @@ impl BasePathOracle for LazyBasePaths {
         failures: &FailureSet,
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
-        if failures.is_empty() {
-            return self.with_spt(source, f);
-        }
-        if failures.node_failed(source) {
-            return f(&rebuilt_tree(&self.graph, &self.model, source, failures));
-        }
-        // Repair a clone of the cached unfailed tree; the (transient)
-        // failed tree is never cached, so the cache stays canonical.
-        let base = self.tree(source);
-        let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
-        f(&repaired_tree(&self.graph, &self.model, &base, failures))
+        with_repaired_spt(self, &self.csr, source, failures, f)
     }
 }
 
@@ -453,7 +485,7 @@ impl<O: BasePathOracle> BasePathOracle for &O {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbpc_graph::Metric;
+    use rbpc_graph::{shortest_path_tree, Metric};
     use rbpc_topo::gnm_connected;
 
     fn model() -> CostModel {
@@ -582,6 +614,76 @@ mod tests {
             dense.with_spt_under(s, &failures, |spt| assert_eq!(spt, &want, "dense, {s}"));
             lazy.with_spt_under(s, &failures, |spt| assert_eq!(spt, &want, "lazy, {s}"));
             check(&dense, &failures, s, &want);
+        }
+    }
+
+    #[test]
+    fn default_with_spt_under_is_the_from_scratch_reference() {
+        /// Supplies only tree storage, so `with_spt_under` is the default.
+        struct Plain(DenseBasePaths);
+        impl BasePathOracle for Plain {
+            fn graph(&self) -> &Graph {
+                self.0.graph()
+            }
+            fn cost_model(&self) -> &CostModel {
+                self.0.cost_model()
+            }
+            fn with_spt<R>(&self, source: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
+                self.0.with_spt(source, f)
+            }
+        }
+        let g = gnm_connected(30, 70, 9, 3);
+        let plain = Plain(DenseBasePaths::build(g.clone(), model()));
+        let failures = FailureSet::of_nodes([4usize]);
+        for s in g.nodes() {
+            let want = shortest_path_tree(&failures.view(&g), &model(), s);
+            plain.with_spt_under(s, &failures, |spt| assert_eq!(spt, &want, "{s}"));
+            plain
+                .0
+                .with_spt_under(s, &failures, |spt| assert_eq!(spt, &want, "{s}"));
+        }
+    }
+
+    #[test]
+    fn lazy_prefetch_caches_in_fifo_order() {
+        let g = gnm_connected(20, 40, 5, 1);
+        let dense = DenseBasePaths::build(g.clone(), model());
+        let lazy = LazyBasePaths::with_capacity(g.clone(), model(), 3);
+        let order: Vec<NodeId> = [5usize, 2, 5, 9, 11].map(NodeId::new).to_vec();
+        assert_eq!(lazy.prefetch_batch(&order), 4);
+        // 5, 2, 9, 11 were cached in that order: 5 was evicted first.
+        assert_eq!((lazy.cached_trees(), lazy.evictions()), (3, 1));
+        assert_eq!(lazy.prefetch_batch(&order[1..]), 1); // only 5 is missing
+        assert_eq!(lazy.evictions(), 2); // ... and evicts 2, the oldest
+        for s in [5usize, 9, 11] {
+            lazy.with_spt(s.into(), |t| assert_eq!(t, dense.spt(s.into())));
+        }
+        assert_eq!(lazy.evictions(), 2, "9, 11 and 5 stay cached");
+    }
+
+    #[test]
+    fn lazy_prefetch_matches_one_lookup_per_source() {
+        let g = gnm_connected(20, 40, 5, 1);
+        let order = |o: &LazyBasePaths| Vec::from(lock_unpoisoned(&o.cache).order.clone());
+        let mut rng = rbpc_graph::DetRng::seed_from_u64(3);
+        for capacity in [1usize, 3, 7] {
+            let batched = LazyBasePaths::with_capacity(g.clone(), model(), capacity);
+            let serial = LazyBasePaths::with_capacity(g.clone(), model(), capacity);
+            for round in 0..8 {
+                let len = rng.gen_range(0..14usize);
+                let sources: Vec<NodeId> = (0..len)
+                    .map(|_| NodeId::new(rng.gen_range(0..12usize)))
+                    .collect();
+                let mut built = 0;
+                for &s in &sources {
+                    built += usize::from(!serial.is_cached(s));
+                    serial.with_spt(s, |_| ());
+                }
+                let what = format!("capacity {capacity}, round {round}, {sources:?}");
+                assert_eq!(batched.prefetch_batch(&sources), built, "{what}");
+                assert_eq!(batched.evictions(), serial.evictions(), "{what}");
+                assert_eq!(order(&batched), order(&serial), "{what}");
+            }
         }
     }
 

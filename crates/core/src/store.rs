@@ -25,11 +25,20 @@
 //! [`ShardedBasePaths`] keeps the trees themselves implicit too: sources
 //! are grouped into fixed *shards* (contiguous index ranges), each shard
 //! is provisioned as one batch on the [`rbpc_graph::par`] thread pool
-//! (every worker reuses one `DijkstraScratch` arena across its trees),
-//! and at most a budgeted number of shards stay resident behind an LRU.
-//! A query outside the resident set rebuilds its shard — bit-identical
-//! by construction, because perturbed costs make every tree canonical
-//! (see [`rbpc_graph::CostModel`]).
+//! (every worker reuses one batch-kernel scratch across its trees), and
+//! at most a budgeted number of shards stay resident behind an LRU. A
+//! query outside the resident set rebuilds its shard — bit-identical by
+//! construction, because perturbed costs make every tree canonical (see
+//! [`rbpc_graph::CostModel`]).
+//!
+//! # One graph representation
+//!
+//! All three shapes own one [`CsrGraph`] and build every tree on its
+//! batched kernel: the dense build, lazy misses and lazy prefetches, and
+//! shard builds. Under failures all three repair a clone of the resident
+//! unfailed tree on that same `CsrGraph` through one shared helper; a
+//! failed source router is handled inside the repair, so no shape falls
+//! back to a rebuild.
 //!
 //! The [`BasePathStore`] trait exposes the residency/budget surface on
 //! every oracle, so `Restorer`, decomposition, and the sim/eval layers
@@ -40,7 +49,7 @@
 //! [`is_tree_step`]: ShortestPathTree::is_tree_step
 
 use crate::basepaths::{
-    lock_unpoisoned, rebuilt_tree, record_par_stats, repaired_tree, BasePathOracle, DenseBasePaths,
+    lock_unpoisoned, record_par_stats, with_repaired_spt, BasePathOracle, DenseBasePaths,
     LazyBasePaths,
 };
 use rbpc_graph::{
@@ -164,16 +173,7 @@ impl BasePathStore for LazyBasePaths {
     }
 
     fn prefetch(&self, sources: &[NodeId]) -> usize {
-        // One Dijkstra per missing source; the lazy store has no batch
-        // engine, which is exactly why the sharded store exists.
-        let mut built = 0;
-        for &s in sources {
-            if self.with_spt_if_cached(s, |_| ()).is_none() {
-                self.with_spt(s, |_| ());
-                built += 1;
-            }
-        }
-        built
+        self.prefetch_batch(sources)
     }
 }
 
@@ -222,8 +222,8 @@ impl ShardCache {
 /// Sources are grouped into shards of [`shard_size`](Self::shard_size)
 /// consecutive indices. A miss provisions the whole shard as one batch
 /// via [`par_all_sources_csr`] over a [`CsrGraph`] built once at
-/// construction, so every worker thread reuses a single
-/// `DijkstraScratch` arena across the shard's trees. At most
+/// construction, so every worker thread reuses a single batch-kernel
+/// scratch across the shard's trees. At most
 /// [`max_resident_trees`](BasePathStore::max_resident_trees) trees
 /// (rounded up to whole shards, minimum one shard) stay resident; the
 /// least-recently-used shard is dropped first.
@@ -242,7 +242,6 @@ impl ShardCache {
 #[derive(Debug)]
 pub struct ShardedBasePaths {
     graph: Graph,
-    model: CostModel,
     csr: CsrGraph,
     shard_size: usize,
     max_shards: usize,
@@ -320,7 +319,6 @@ impl ShardedBasePaths {
         let csr = CsrGraph::new(&graph, &model);
         ShardedBasePaths {
             graph,
-            model,
             csr,
             shard_size,
             max_shards: max_resident_spts.div_ceil(shard_size).max(1),
@@ -428,7 +426,7 @@ impl BasePathOracle for ShardedBasePaths {
     }
 
     fn cost_model(&self) -> &CostModel {
-        &self.model
+        self.csr.model()
     }
 
     fn with_spt<R>(&self, source: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
@@ -442,19 +440,7 @@ impl BasePathOracle for ShardedBasePaths {
         failures: &FailureSet,
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
-        if failures.is_empty() {
-            return self.with_spt(source, f);
-        }
-        if failures.node_failed(source) {
-            // Not expressible as a repair; the rebuild early-exits anyway.
-            return f(&rebuilt_tree(&self.graph, &self.model, source, failures));
-        }
-        // Repair a clone of the resident unfailed tree; the transient
-        // failed tree is never cached, so the store stays canonical.
-        let shard = self.shard(source);
-        let base = &shard.trees[source.index() - shard.first as usize];
-        let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
-        f(&repaired_tree(&self.graph, &self.model, base, failures))
+        with_repaired_spt(self, &self.csr, source, failures, f)
     }
 }
 

@@ -71,26 +71,28 @@ pub struct CsrGraph {
     /// 32-bytes-per-edge block (rather than four parallel arrays), so
     /// scanning it streams a single cache-line run.
     half: Vec<HalfEdge>,
+    /// `ends[e]` is edge `e`'s two endpoints, in the graph's order.
+    ends: Vec<[u32; 2]>,
     model: CostModel,
 }
 
 /// One half-edge of the packed adjacency: precomputed perturbed and base
 /// weights plus the neighbor and undirected edge id. Exactly 32 bytes.
 #[derive(Debug, Clone, Copy)]
-struct HalfEdge {
+pub(crate) struct HalfEdge {
     /// Precomputed perturbed weight under the frozen [`CostModel`].
-    weight: u128,
+    pub(crate) weight: u128,
     /// Precomputed base (original-metric) weight.
-    base: u64,
+    pub(crate) base: u64,
     /// Neighbor node of this half-edge.
-    target: u32,
+    pub(crate) target: u32,
     /// Undirected edge id of this half-edge.
-    edge: u32,
+    pub(crate) edge: u32,
 }
 
 /// Low-bit mask covering every legal node id (`MAX_NODES` is a power of
 /// two, so ids fit in `MAX_NODES - 1`).
-const NODE_MASK: u128 = (CostModel::MAX_NODES - 1) as u128;
+pub(crate) const NODE_MASK: u128 = (CostModel::MAX_NODES - 1) as u128;
 
 /// Packs a node id into the low bits of its perturbed distance, making a
 /// 16-byte heap entry instead of a 32-byte `(dist, node)` pair.
@@ -105,7 +107,7 @@ const NODE_MASK: u128 = (CostModel::MAX_NODES - 1) as u128;
 /// sequential implementation, but every settled distance — and hence the
 /// tree — is bit-identical.
 #[inline]
-fn heap_key(dist: u128, node: u32) -> u128 {
+pub(crate) fn heap_key(dist: u128, node: u32) -> u128 {
     (dist & !NODE_MASK) | node as u128
 }
 
@@ -146,8 +148,38 @@ impl CsrGraph {
             m,
             offsets,
             half,
+            ends: graph
+                .edges()
+                .map(|(_, rec)| [rec.u.index() as u32, rec.v.index() as u32])
+                .collect(),
             model: *model,
         }
+    }
+
+    /// The half-edges stored at node `u` (crate-internal: the repair
+    /// engine in [`dynamic`](crate::dynamic) walks them directly).
+    #[inline]
+    pub(crate) fn adjacency(&self, u: usize) -> &[HalfEdge] {
+        &self.half[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+
+    /// Edge `e`'s two endpoints.
+    #[inline]
+    pub(crate) fn ends(&self, e: EdgeId) -> [u32; 2] {
+        self.ends[e.index()]
+    }
+
+    /// Edge `e`'s two directions as `(from, half-edge from → to)` pairs,
+    /// found by scanning each endpoint's adjacency.
+    pub(crate) fn directions(&self, e: EdgeId) -> [(u32, &HalfEdge); 2] {
+        self.ends(e).map(|from| {
+            let he = self
+                .adjacency(from as usize)
+                .iter()
+                .find(|he| he.edge as usize == e.index())
+                .expect("invariant: every edge is stored at both of its endpoints");
+            (from, he)
+        })
     }
 
     /// Number of nodes.
@@ -171,7 +203,8 @@ impl CsrGraph {
     /// Structural self-check of the CSR arrays: offsets are monotone and
     /// cover exactly `2m` half-edges, every half-edge is in range, every
     /// undirected edge id appears exactly twice with mirrored endpoints
-    /// and identical weights, and every perturbed weight carries its base
+    /// and identical weights between the recorded endpoints, and every
+    /// perturbed weight carries its base
     /// weight in the high 64 bits (hence is at least `2^64` — the padding
     /// discipline Theorem 3's uniqueness argument and the packed
     /// packed heap keys both rely on).
@@ -203,6 +236,12 @@ impl CsrGraph {
                 self.half.len(),
                 self.offsets[n],
                 2 * m
+            ));
+        }
+        if self.ends.len() != m {
+            return Err(format!(
+                "{} edge endpoint pairs for {m} edges",
+                self.ends.len()
             ));
         }
         // (from, to, weight, base) per appearance of each undirected edge.
@@ -242,6 +281,9 @@ impl CsrGraph {
             let ((f1, t1, w1, b1), (f2, t2, w2, b2)) = (t[0], t[1]);
             if t1 != f2 || t2 != f1 {
                 return Err(format!("edge {e} half-edges do not mirror each other"));
+            }
+            if [f1, t1] != self.ends[e] && [t1, f1] != self.ends[e] {
+                return Err(format!("edge {e} endpoints disagree with its half-edges"));
             }
             if w1 != w2 || b1 != b2 {
                 return Err(format!("edge {e} half-edges disagree on weight"));
@@ -644,6 +686,21 @@ fn bit_set(words: &mut [u64], i: u32) {
     words[(i >> 6) as usize] |= 1u64 << (i & 63);
 }
 
+/// The indices of the set bits of `words`, ascending: one word read per
+/// 64 ids plus one step per set bit.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                (i as u32) << 6 | bit
+            })
+        })
+    })
+}
+
 impl FailureMask {
     /// An all-clear mask for a graph with `nodes` nodes and `edges` edges.
     pub fn new(nodes: usize, edges: usize) -> Self {
@@ -699,15 +756,36 @@ impl FailureMask {
         bit_get(&self.edges, e.index() as u32)
     }
 
+    /// Clears an edge's failure bit (the edge recovers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is out of range.
+    pub fn restore_edge(&mut self, e: EdgeId) {
+        assert!(e.index() < self.m, "edge {e} out of range");
+        let i = e.index();
+        self.edges[i >> 6] &= !(1u64 << (i & 63));
+    }
+
+    /// Ids of the explicitly failed edges, ascending.
+    pub(crate) fn failed_edge_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.edges)
+    }
+
+    /// Ids of the failed nodes, ascending.
+    pub(crate) fn failed_node_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.nodes)
+    }
+
     /// Traversal predicate: half-edge `edge → to` is unusable. The
     /// traversing endpoint is known alive (Dijkstra never enters a failed
     /// node), so checking `to` covers both endpoints.
     #[inline]
-    fn half_edge_masked(&self, edge: u32, to: u32) -> bool {
+    pub(crate) fn half_edge_masked(&self, edge: u32, to: u32) -> bool {
         bit_get(&self.edges, edge) || bit_get(&self.nodes, to)
     }
 
-    fn check_dims(&self, n: usize, m: usize) {
+    pub(crate) fn check_dims(&self, n: usize, m: usize) {
         assert!(
             self.n == n && self.m == m,
             "failure mask built for {}x{} applied to a {n}x{m} graph",
@@ -956,6 +1034,36 @@ mod tests {
     }
 
     #[test]
+    fn directions_name_both_endpoints() {
+        let g = sample();
+        let csr = CsrGraph::new(&g, &CostModel::new(Metric::Weighted, 17));
+        for e in g.edge_ids() {
+            let (u, v) = g.endpoints(e);
+            let (u, v) = (u.index() as u32, v.index() as u32);
+            assert_eq!(csr.ends(e), [u, v]);
+            let [(a, fwd), (b, back)] = csr.directions(e);
+            assert_eq!((a, fwd.target, b, back.target), (u, v, v, u));
+            assert_eq!((fwd.edge, fwd.weight), (back.edge, back.weight));
+            assert_eq!(fwd.weight, csr.model().perturbed_weight(&g, e));
+        }
+    }
+
+    #[test]
+    fn mask_lists_failed_ids_in_order() {
+        let mut mask = FailureMask::new(130, 200);
+        for e in [199usize, 0, 63, 64, 127] {
+            mask.fail_edge(EdgeId::new(e));
+        }
+        mask.fail_node(NodeId::new(129));
+        mask.restore_edge(EdgeId::new(63));
+        assert_eq!(
+            mask.failed_edge_ids().collect::<Vec<_>>(),
+            vec![0, 64, 127, 199]
+        );
+        assert_eq!(mask.failed_node_ids().collect::<Vec<_>>(), vec![129]);
+    }
+
+    #[test]
     fn mask_mirrors_failure_set() {
         let g = sample();
         let model = CostModel::new(Metric::Weighted, 17);
@@ -1029,6 +1137,9 @@ mod tests {
         let mut csr = CsrGraph::new(&g, &model);
         csr.offsets[1] = csr.offsets[2] + 1;
         assert!(csr.validate().is_err());
+        let mut csr = CsrGraph::new(&g, &model);
+        csr.ends.swap(0, 3);
+        assert!(csr.validate().unwrap_err().contains("endpoints disagree"));
     }
 
     #[test]

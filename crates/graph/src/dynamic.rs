@@ -1,42 +1,47 @@
-//! Incremental maintenance of [`ShortestPathTree`]s under edge failures
-//! and recoveries, in the style of Ramalingam–Reps.
+//! Incremental maintenance of [`ShortestPathTree`]s under failures and
+//! recoveries, in the style of Ramalingam–Reps, on the [`CsrGraph`] the
+//! rest of the restore path runs on.
 //!
-//! A full Dijkstra over a failed view costs `O((n + m) log n)` even when a
+//! A full Dijkstra over a failed graph costs `O((n + m) log n)` even when a
 //! failure detaches only a handful of nodes. This module updates an
 //! existing tree in place instead:
 //!
 //! * **Failure** ([`repair_after_failures`]): only nodes whose tree path
-//!   used a failed edge can change (edge deletions never shorten paths).
-//!   The affected subtrees are detached, re-seeded from their best live
-//!   neighbors outside the region, and re-settled by a Dijkstra restricted
-//!   to the region.
+//!   crosses a masked edge or node can change (deletions never shorten
+//!   paths). The affected subtrees are detached, re-seeded from their best
+//!   live neighbors outside the region, and re-settled by a Dijkstra
+//!   restricted to the region. A failed source leaves every node
+//!   unreachable, as [`CsrGraph::full_tree_masked`] does.
 //! * **Recovery** ([`repair_after_recoveries`]): a returning edge can only
 //!   shorten paths, so a decrease-only relaxation wave from its endpoints
 //!   suffices; nodes it never improves keep their entries verbatim.
 //!
-//! Because the padded [`CostModel`] makes shortest paths unique (distinct
-//! perturbed costs ⇒ a unique optimum per node — see the crate-level
-//! discussion of infinitesimal padding), a repaired tree is **bit-identical**
-//! to the tree a full rebuild over the same view would produce: same
-//! distances, same parents, same canonical base paths. This is the same
-//! invariant Bodwin–Parter call *restorable tiebreaking* — canonical
-//! shortest paths that survive edge deletions. The equivalence is enforced
-//! by this module's tests and by the `spt_repair` property suite.
+//! Both read the precomputed perturbed and base weights of the packed
+//! half-edges and test [`FailureMask`] bits; neither hashes nor mixes.
+//!
+//! Because the padded [`CostModel`] makes shortest paths
+//! unique (distinct perturbed costs ⇒ a unique optimum per node — see the
+//! crate-level discussion of infinitesimal padding), a repaired tree is
+//! **bit-identical** to the tree a full rebuild under the same mask would
+//! produce: same distances, same parents, same canonical base paths. This
+//! is the same invariant Bodwin–Parter call *restorable tiebreaking* —
+//! canonical shortest paths that survive edge deletions. The equivalence
+//! is enforced by this module's tests and by the `spt_repair` property
+//! suite.
 //!
 //! # Caller contract
 //!
-//! The `topo` passed to a repair call must be the **post-event** view: each
-//! failed edge already dead, each recovered edge already alive. A failure
-//! of the tree's source node itself cannot be expressed as a repair (the
-//! rebuilt tree is all-unreachable, including the source slot); callers
-//! must fall back to a rebuild for that case, as
-//! `rbpc_core`'s base-path oracles do. Node failures elsewhere are handled
-//! by repairing with the node's incident-edge set: the dead node never
-//! re-attaches because the view masks all of its edges.
+//! The `mask` passed to a repair is the **post-event** state. A failure
+//! repair takes a tree computed under a subset of the mask's failures
+//! (typically none: the unfailed tree); failed nodes are handled directly,
+//! and a failed node never re-attaches. A recovery repair takes the tree
+//! of the mask with the `recovered` edges still failed. Node recoveries
+//! are not expressible as a repair.
 //!
 //! ```
 //! use rbpc_graph::{
-//!     repair_after_failure, shortest_path_tree, CostModel, FailureSet, Graph, Metric,
+//!     repair_after_failures, CostModel, CsrGraph, DijkstraScratch, FailureMask, Graph, Metric,
+//!     RepairScratch,
 //! };
 //! # fn main() -> Result<(), rbpc_graph::GraphError> {
 //! let mut g = Graph::new(4);
@@ -44,14 +49,15 @@
 //! g.add_edge(1, 2, 1)?;
 //! g.add_edge(0, 3, 1)?;
 //! g.add_edge(3, 2, 1)?;
-//! let model = CostModel::new(Metric::Weighted, 7);
+//! let csr = CsrGraph::new(&g, &CostModel::new(Metric::Weighted, 7));
+//! let mut dijkstra = DijkstraScratch::new(csr.node_count());
 //!
-//! let mut tree = shortest_path_tree(&g, &model, 0.into());
-//! let failures = FailureSet::of_edge(ab);
-//! let view = failures.view(&g);
-//! let stats = repair_after_failure(&mut tree, &view, &model, ab);
-//! assert_eq!(tree, shortest_path_tree(&view, &model, 0.into()));
-//! assert!(stats.nodes_touched <= g.node_count());
+//! let mut tree = csr.full_tree(0.into(), &mut dijkstra);
+//! let mut mask = FailureMask::new(csr.node_count(), csr.edge_count());
+//! mask.fail_edge(ab);
+//! let stats = repair_after_failures(&mut tree, &csr, &mask, &mut RepairScratch::new());
+//! assert_eq!(tree, csr.full_tree_masked(0.into(), Some(&mask), &mut dijkstra));
+//! assert!(stats.nodes_touched >= 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -59,8 +65,11 @@
 //! See `docs/PAPER_MAP.md` (repository root) for the full map from the
 //! paper's results to modules and tests.
 
+use crate::csr::{heap_key, NODE_MASK};
+use crate::spt::NO_EDGE;
 use crate::{
-    shortest_path_tree, CostModel, EdgeId, FailureSet, Graph, NodeId, ShortestPathTree, Topology,
+    CostModel, CsrGraph, DijkstraScratch, EdgeId, FailureMask, FailureSet, Graph, NodeId,
+    ShortestPathTree,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -69,8 +78,9 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairStats {
     /// Nodes whose tree entry was recomputed: the detached-subtree size for
-    /// a failure, the number of improved nodes for a recovery. Zero means
-    /// the event did not intersect the tree at all.
+    /// a failure (every previously reachable node when the source fails),
+    /// the number of improved nodes for a recovery. Zero means the event
+    /// did not intersect the tree at all.
     pub nodes_touched: usize,
 }
 
@@ -80,22 +90,23 @@ pub struct RepairStats {
 /// A churn stream repairs the same tree thousands of times; with a scratch
 /// the per-event cost drops from six O(n) allocations to an epoch bump
 /// (the children CSR is still refilled — it depends on the current tree —
-/// but into retained capacity). [`DynamicSpt`] owns one internally; the
-/// free-standing [`repair_after_failures_with`] /
-/// [`repair_after_recoveries_with`] take one explicitly.
+/// but into retained capacity).
 #[derive(Debug, Clone, Default)]
 pub struct RepairScratch {
     epoch: u32,
-    /// `affected[v] == epoch` ⇔ `v` is in the detached region this run
-    /// (failures) or already counted as improved (recoveries).
+    /// `affected[v] == epoch` ⇔ `v` is in the detached region this run.
     affected: Vec<u32>,
     /// `settled[v] == epoch` ⇔ `v` was settled by this run's Dijkstra.
     settled: Vec<u32>,
     offsets: Vec<u32>,
     kids: Vec<u32>,
     cursor: Vec<u32>,
-    affected_list: Vec<u32>,
-    heap: BinaryHeap<(Reverse<u128>, u32)>,
+    /// Subtree roots, then the DFS stack over the children CSR.
+    stack: Vec<u32>,
+    /// The detached region, in discovery order.
+    region: Vec<u32>,
+    /// Node-packed perturbed distances (see `csr::heap_key`).
+    heap: BinaryHeap<Reverse<u128>>,
     runs: u64,
 }
 
@@ -118,7 +129,7 @@ impl RepairScratch {
             self.epoch = 1;
         }
         self.heap.clear();
-        self.affected_list.clear();
+        self.region.clear();
         self.runs += 1;
     }
 
@@ -129,88 +140,56 @@ impl RepairScratch {
     }
 }
 
-/// Runs `f` with this thread's shared [`RepairScratch`], so the
-/// convenience wrappers ([`repair_after_failures`],
-/// [`repair_after_recoveries`]) get arena reuse for free instead of
-/// paying a fresh allocation + zero-fill on every call. The epoch stamps
-/// make reuse across unrelated trees and graph sizes exact.
-fn with_thread_scratch<R>(f: impl FnOnce(&mut RepairScratch) -> R) -> R {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<RepairScratch> =
-            std::cell::RefCell::new(RepairScratch::new());
-    }
-    SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        // Re-entrant call (e.g. from a destructor mid-repair): fall back
-        // to a fresh arena rather than panicking.
-        Err(_) => f(&mut RepairScratch::new()),
-    })
-}
-
-/// Repairs `tree` in place after a single edge failure.
+/// Repairs `tree` in place so it is the shortest-path tree under `mask`,
+/// touching only the subtrees hanging below masked tree edges and nodes.
 ///
-/// Equivalent to [`repair_after_failures`] with a one-element slice; see
-/// the [module docs](self) for the caller contract.
-pub fn repair_after_failure<T: Topology>(
-    tree: &mut ShortestPathTree,
-    topo: &T,
-    model: &CostModel,
-    failed: EdgeId,
-) -> RepairStats {
-    repair_after_failures(tree, topo, model, &[failed])
-}
-
-/// Repairs `tree` in place after a batch of edge failures, touching only
-/// the subtrees hanging below the failed tree edges.
-///
-/// `topo` must be the post-failure view (every edge in `failed` dead) and
-/// the tree's source must still be alive; see the [module docs](self).
-/// Failing edges that were never tree edges is a no-op, because deleting a
-/// non-tree edge can neither shorten any path nor invalidate a tree path.
+/// `tree` must be optimal under a subset of `mask`'s failures (see the
+/// [module docs](self)). Masking elements the tree never used is a no-op,
+/// because a deletion off the tree can neither shorten any path nor
+/// invalidate a tree path. A failed source makes the whole tree
+/// unreachable.
 ///
 /// Returns the number of nodes in the detached (recomputed) region.
-pub fn repair_after_failures<T: Topology>(
+///
+/// # Panics
+///
+/// Panics if `tree` or `mask` was built for a different node or edge
+/// count than `csr`.
+pub fn repair_after_failures(
     tree: &mut ShortestPathTree,
-    topo: &T,
-    model: &CostModel,
-    failed: &[EdgeId],
-) -> RepairStats {
-    with_thread_scratch(|scratch| repair_after_failures_with(tree, topo, model, failed, scratch))
-}
-
-/// [`repair_after_failures`] with caller-provided working memory, for
-/// churn streams that repair the same tree repeatedly.
-pub fn repair_after_failures_with<T: Topology>(
-    tree: &mut ShortestPathTree,
-    topo: &T,
-    model: &CostModel,
-    failed: &[EdgeId],
+    csr: &CsrGraph,
+    mask: &FailureMask,
     scratch: &mut RepairScratch,
 ) -> RepairStats {
-    let graph = topo.graph();
-    let n = graph.node_count();
-    debug_assert!(tree.compatible_with(graph), "tree/graph size mismatch");
-    debug_assert!(
-        topo.node_alive(tree.source()),
-        "source failure requires a full rebuild, not a repair"
-    );
+    let n = csr.node_count();
+    assert_eq!(tree.node_count(), n, "tree/graph size mismatch");
+    mask.check_dims(n, csr.edge_count());
+    let source = tree.source();
+    if mask.node_failed(source) {
+        let touched = tree.dist.iter().filter(|&&d| d != u128::MAX).count();
+        *tree = ShortestPathTree::unreachable(source, n);
+        return RepairStats {
+            nodes_touched: touched,
+        };
+    }
 
-    // Roots of the detached region: tree edges are directed parent→child in
-    // `parent_edge`, so only a failed edge's endpoints can root a subtree.
-    let mut roots: Vec<u32> = Vec::new();
-    for &e in failed {
-        debug_assert!(
-            !topo.edge_alive(e),
-            "`topo` must be the post-failure view (edge {e} still alive)"
-        );
-        let (u, v) = graph.endpoints(e);
-        for x in [u, v] {
-            if tree.parent_edge[x.index()] == e.index() as u32 {
-                roots.push(x.index() as u32);
+    // Roots of the detached region: reachable nodes whose parent edge or
+    // own router failed. A failed parent is a root itself (it cannot be
+    // the live source), so its children fall inside its subtree.
+    scratch.stack.clear();
+    for e in mask.failed_edge_ids() {
+        for x in csr.ends(EdgeId::new(e as usize)) {
+            if tree.parent_edge[x as usize] == e {
+                scratch.stack.push(x);
             }
         }
     }
-    if roots.is_empty() {
+    for v in mask.failed_node_ids() {
+        if tree.parent_edge[v as usize] != NO_EDGE {
+            scratch.stack.push(v);
+        }
+    }
+    if scratch.stack.is_empty() {
         return RepairStats::default();
     }
 
@@ -223,182 +202,170 @@ pub fn repair_after_failures_with<T: Topology>(
 
     // Collect the affected subtrees; the `affected` stamps deduplicate
     // roots nested inside other roots' subtrees.
-    let mut stack = roots;
-    while let Some(v) = stack.pop() {
+    while let Some(v) = scratch.stack.pop() {
         let vi = v as usize;
         if scratch.affected[vi] == epoch {
             continue;
         }
         scratch.affected[vi] = epoch;
-        scratch.affected_list.push(v);
-        stack.extend_from_slice(
+        scratch.region.push(v);
+        scratch.stack.extend_from_slice(
             &scratch.kids[scratch.offsets[vi] as usize..scratch.offsets[vi + 1] as usize],
         );
     }
 
-    // Detach the region, then seed every affected node with its best entry
-    // point from the unaffected remainder (whose distances are final:
-    // deletions only lengthen paths).
-    for &v in &scratch.affected_list {
+    // Detach the region, then seed every live affected node with its best
+    // entry point from the unaffected remainder (whose distances are
+    // final: deletions only lengthen paths). Both endpoints are checked:
+    // a failed affected node is never seeded, and a masked half-edge or
+    // failed neighbor never offers an entry.
+    for &v in &scratch.region {
         tree.clear_node(v as usize);
     }
-    for &ai in &scratch.affected_list {
-        let a = NodeId::new(ai as usize);
-        for h in topo.live_neighbors(a) {
-            let bi = h.to.index();
-            if scratch.affected[bi] == epoch || tree.dist[bi] == u128::MAX {
+    for &a in &scratch.region {
+        if mask.node_failed(NodeId::new(a as usize)) {
+            continue;
+        }
+        let ai = a as usize;
+        for he in csr.adjacency(ai) {
+            let bi = he.target as usize;
+            if scratch.affected[bi] == epoch
+                || tree.dist[bi] == u128::MAX
+                || mask.half_edge_masked(he.edge, he.target)
+            {
                 continue;
             }
-            let nd = tree.dist[bi] + model.perturbed_weight(graph, h.edge);
-            if nd < tree.dist[ai as usize] {
+            let nd = tree.dist[bi] + he.weight;
+            if nd < tree.dist[ai] {
                 tree.settle(
-                    a,
+                    NodeId::new(ai),
                     nd,
-                    tree.base_dist[bi] + model.base_weight(graph, h.edge),
+                    tree.base_dist[bi] + he.base,
                     tree.hops[bi] + 1,
-                    Some((h.to, h.edge)),
+                    Some((NodeId::new(bi), EdgeId::new(he.edge as usize))),
                 );
             }
         }
-        if tree.dist[ai as usize] != u128::MAX {
-            scratch.heap.push((Reverse(tree.dist[ai as usize]), ai));
+        if tree.dist[ai] != u128::MAX {
+            scratch.heap.push(Reverse(heap_key(tree.dist[ai], a)));
         }
     }
 
-    // Dijkstra restricted to the affected region.
-    while let Some((Reverse(d), ui)) = scratch.heap.pop() {
-        let uidx = ui as usize;
-        if scratch.settled[uidx] == epoch || d > tree.dist[uidx] {
+    // Dijkstra restricted to the affected region. Packed keys may pop
+    // near-equal distances out of order, which is harmless for the same
+    // reason as in the CSR kernel: every edge weighs at least 2^64.
+    while let Some(Reverse(key)) = scratch.heap.pop() {
+        let u = (key & NODE_MASK) as usize;
+        if scratch.settled[u] == epoch {
             continue;
         }
-        scratch.settled[uidx] = epoch;
-        let u = NodeId::new(uidx);
-        for h in topo.live_neighbors(u) {
-            let vi = h.to.index();
-            if scratch.affected[vi] != epoch || scratch.settled[vi] == epoch {
+        scratch.settled[u] = epoch;
+        let d = tree.dist[u];
+        for he in csr.adjacency(u) {
+            let vi = he.target as usize;
+            if scratch.affected[vi] != epoch
+                || scratch.settled[vi] == epoch
+                || mask.half_edge_masked(he.edge, he.target)
+            {
                 continue;
             }
-            let nd = d + model.perturbed_weight(graph, h.edge);
+            let nd = d + he.weight;
             if nd < tree.dist[vi] {
                 tree.settle(
-                    h.to,
+                    NodeId::new(vi),
                     nd,
-                    tree.base_dist[uidx] + model.base_weight(graph, h.edge),
-                    tree.hops[uidx] + 1,
-                    Some((u, h.edge)),
+                    tree.base_dist[u] + he.base,
+                    tree.hops[u] + 1,
+                    Some((NodeId::new(u), EdgeId::new(he.edge as usize))),
                 );
-                scratch.heap.push((Reverse(nd), vi as u32));
+                scratch.heap.push(Reverse(heap_key(nd, he.target)));
             }
         }
     }
     RepairStats {
-        nodes_touched: scratch.affected_list.len(),
+        nodes_touched: scratch.region.len(),
     }
 }
 
-/// Repairs `tree` in place after a single edge recovery.
+/// Repairs `tree` in place after the edges in `recovered` came back, via
+/// a decrease-only relaxation wave from their endpoints.
 ///
-/// Equivalent to [`repair_after_recoveries`] with a one-element slice; see
-/// the [module docs](self) for the caller contract.
-pub fn repair_after_recovery<T: Topology>(
-    tree: &mut ShortestPathTree,
-    topo: &T,
-    model: &CostModel,
-    recovered: EdgeId,
-) -> RepairStats {
-    repair_after_recoveries(tree, topo, model, &[recovered])
-}
-
-/// Repairs `tree` in place after a batch of edge recoveries, via a
-/// decrease-only relaxation wave from the recovered edges' endpoints.
-///
-/// `topo` must be the post-recovery view. A recovered edge that is still
-/// dead in the view (e.g. one endpoint's router is failed) is skipped: it
-/// cannot carry traffic, so the tree is unchanged. Nodes the wave never
-/// improves keep their entries verbatim — correct because an insertion
-/// only ever shortens paths, and unique perturbed costs pin the parent of
-/// every unimproved node.
+/// `mask` is the post-recovery state and `tree` the tree of that state
+/// with `recovered` still failed. A recovered edge that is still masked
+/// (failed again, or an endpoint's router is failed) is skipped: it cannot
+/// carry traffic. Nodes the wave never improves keep their entries
+/// verbatim — correct because an insertion only ever shortens paths, and
+/// unique perturbed costs pin the parent of every unimproved node. A tree
+/// whose source is failed stays all-unreachable.
 ///
 /// Returns the number of nodes whose entry improved.
-pub fn repair_after_recoveries<T: Topology>(
+///
+/// # Panics
+///
+/// Panics if `tree` or `mask` was built for a different node or edge
+/// count than `csr`, or a recovered edge is out of range.
+pub fn repair_after_recoveries(
     tree: &mut ShortestPathTree,
-    topo: &T,
-    model: &CostModel,
-    recovered: &[EdgeId],
-) -> RepairStats {
-    with_thread_scratch(|scratch| {
-        repair_after_recoveries_with(tree, topo, model, recovered, scratch)
-    })
-}
-
-/// [`repair_after_recoveries`] with caller-provided working memory, for
-/// churn streams that repair the same tree repeatedly.
-pub fn repair_after_recoveries_with<T: Topology>(
-    tree: &mut ShortestPathTree,
-    topo: &T,
-    model: &CostModel,
+    csr: &CsrGraph,
+    mask: &FailureMask,
     recovered: &[EdgeId],
     scratch: &mut RepairScratch,
 ) -> RepairStats {
-    let graph = topo.graph();
-    let n = graph.node_count();
-    debug_assert!(tree.compatible_with(graph), "tree/graph size mismatch");
-    debug_assert!(
-        topo.node_alive(tree.source()),
-        "source failure requires a full rebuild, not a repair"
-    );
+    let n = csr.node_count();
+    assert_eq!(tree.node_count(), n, "tree/graph size mismatch");
+    mask.check_dims(n, csr.edge_count());
+    if mask.node_failed(tree.source()) {
+        return RepairStats::default();
+    }
 
     scratch.begin(n);
     let epoch = scratch.epoch;
     for &e in recovered {
-        if !topo.edge_alive(e) {
-            continue;
-        }
-        let (u, v) = graph.endpoints(e);
-        let w = model.perturbed_weight(graph, e);
-        for (a, b) in [(u, v), (v, u)] {
-            let (ai, bi) = (a.index(), b.index());
-            if tree.dist[ai] == u128::MAX {
+        for (a, he) in csr.directions(e) {
+            let (ai, bi) = (a as usize, he.target as usize);
+            // A failed `a` is unreachable, so the distance test covers it.
+            if tree.dist[ai] == u128::MAX || mask.half_edge_masked(he.edge, he.target) {
                 continue;
             }
-            let nd = tree.dist[ai] + w;
+            let nd = tree.dist[ai] + he.weight;
             if nd < tree.dist[bi] {
                 tree.settle(
-                    b,
+                    NodeId::new(bi),
                     nd,
-                    tree.base_dist[ai] + model.base_weight(graph, e),
+                    tree.base_dist[ai] + he.base,
                     tree.hops[ai] + 1,
-                    Some((a, e)),
+                    Some((NodeId::new(ai), e)),
                 );
-                scratch.heap.push((Reverse(nd), bi as u32));
+                scratch.heap.push(Reverse(heap_key(nd, he.target)));
             }
         }
     }
 
-    // `affected` stamps double as the improved-node marker here.
+    // Every popped node improved; its first pop settles it for good.
     let mut touched = 0usize;
-    while let Some((Reverse(d), ui)) = scratch.heap.pop() {
-        let uidx = ui as usize;
-        if d > tree.dist[uidx] {
+    while let Some(Reverse(key)) = scratch.heap.pop() {
+        let u = (key & NODE_MASK) as usize;
+        if scratch.settled[u] == epoch {
             continue;
         }
-        if scratch.affected[uidx] != epoch {
-            scratch.affected[uidx] = epoch;
-            touched += 1;
-        }
-        let u = NodeId::new(uidx);
-        for h in topo.live_neighbors(u) {
-            let vi = h.to.index();
-            let nd = d + model.perturbed_weight(graph, h.edge);
+        scratch.settled[u] = epoch;
+        touched += 1;
+        let d = tree.dist[u];
+        for he in csr.adjacency(u) {
+            let vi = he.target as usize;
+            if mask.half_edge_masked(he.edge, he.target) {
+                continue;
+            }
+            let nd = d + he.weight;
             if nd < tree.dist[vi] {
                 tree.settle(
-                    h.to,
+                    NodeId::new(vi),
                     nd,
-                    tree.base_dist[uidx] + model.base_weight(graph, h.edge),
-                    tree.hops[uidx] + 1,
-                    Some((u, h.edge)),
+                    tree.base_dist[u] + he.base,
+                    tree.hops[u] + 1,
+                    Some((NodeId::new(u), EdgeId::new(he.edge as usize))),
                 );
-                scratch.heap.push((Reverse(nd), vi as u32));
+                scratch.heap.push(Reverse(heap_key(nd, he.target)));
             }
         }
     }
@@ -411,15 +378,13 @@ pub fn repair_after_recoveries_with<T: Topology>(
 /// recoveries — the stateful convenience wrapper over
 /// [`repair_after_failures`] / [`repair_after_recoveries`].
 ///
-/// Owns its [`FailureSet`], so callers only announce events; the view
-/// bookkeeping and the post-event contract of the repair functions are
-/// handled internally. Node failures are intentionally not part of this
-/// API (a source failure is not expressible as a repair) — callers that
-/// need them should go through `rbpc_core`'s oracle layer, which falls
-/// back to a rebuild.
+/// Owns a [`CsrGraph`] of the graph, its [`FailureSet`], and the matching
+/// [`FailureMask`], so callers only announce events. Node failures are
+/// not part of this API; `rbpc_core`'s base-path stores repair under
+/// whole failure sets, nodes included.
 ///
 /// ```
-/// use rbpc_graph::{shortest_path_tree, CostModel, DynamicSpt, Graph, Metric};
+/// use rbpc_graph::{CostModel, CsrGraph, DijkstraScratch, DynamicSpt, Graph, Metric};
 /// # fn main() -> Result<(), rbpc_graph::GraphError> {
 /// let mut g = Graph::new(3);
 /// let ab = g.add_edge(0, 1, 1)?;
@@ -431,15 +396,17 @@ pub fn repair_after_recoveries_with<T: Topology>(
 /// spt.fail_edge(ab);
 /// assert_eq!(spt.tree().base_dist(2.into()), Some(5));
 /// spt.recover_edge(ab);
-/// assert_eq!(spt.tree(), &shortest_path_tree(&g, &model, 0.into()));
+/// let csr = CsrGraph::new(&g, &model);
+/// assert_eq!(spt.tree(), &csr.full_tree(0.into(), &mut DijkstraScratch::new(3)));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicSpt<'g> {
     graph: &'g Graph,
-    model: CostModel,
+    csr: CsrGraph,
     failures: FailureSet,
+    mask: FailureMask,
     tree: ShortestPathTree,
     scratch: RepairScratch,
 }
@@ -447,13 +414,7 @@ pub struct DynamicSpt<'g> {
 impl<'g> DynamicSpt<'g> {
     /// Builds the initial tree over the unfailed graph.
     pub fn new(graph: &'g Graph, model: &CostModel, source: NodeId) -> Self {
-        DynamicSpt {
-            graph,
-            model: *model,
-            failures: FailureSet::new(),
-            tree: shortest_path_tree(graph, model, source),
-            scratch: RepairScratch::new(),
-        }
+        Self::with_failures(graph, model, source, FailureSet::new())
     }
 
     /// Builds the initial tree over `graph` with `failures` already in
@@ -464,11 +425,15 @@ impl<'g> DynamicSpt<'g> {
         source: NodeId,
         failures: FailureSet,
     ) -> Self {
-        let tree = shortest_path_tree(&failures.view(graph), model, source);
+        let csr = CsrGraph::new(graph, model);
+        let mask = FailureMask::from_set(&csr, &failures);
+        let mut dijkstra = DijkstraScratch::new(csr.node_count());
+        let tree = csr.full_tree_masked(source, Some(&mask), &mut dijkstra);
         DynamicSpt {
             graph,
-            model: *model,
+            csr,
             failures,
+            mask,
             tree,
             scratch: RepairScratch::new(),
         }
@@ -490,11 +455,11 @@ impl<'g> DynamicSpt<'g> {
     /// The cost model the tree is canonical under.
     #[inline]
     pub fn cost_model(&self) -> &CostModel {
-        &self.model
+        self.csr.model()
     }
 
-    /// The current tree — always bit-identical to a fresh
-    /// `shortest_path_tree` over [`failures()`](Self::failures)' view.
+    /// The current tree — always bit-identical to a fresh full tree under
+    /// [`failures()`](Self::failures).
     #[inline]
     pub fn tree(&self) -> &ShortestPathTree {
         &self.tree
@@ -513,11 +478,8 @@ impl<'g> DynamicSpt<'g> {
             return RepairStats::default();
         }
         self.failures.fail_edge(e);
-        if self.failures.node_failed(self.tree.source()) {
-            return RepairStats::default(); // tree is all-unreachable and stays so
-        }
-        let view = self.failures.view(self.graph);
-        repair_after_failures_with(&mut self.tree, &view, &self.model, &[e], &mut self.scratch)
+        self.mask.fail_edge(e);
+        repair_after_failures(&mut self.tree, &self.csr, &self.mask, &mut self.scratch)
     }
 
     /// Clears `e` from the failure set and repairs the tree. Recovering an
@@ -527,18 +489,21 @@ impl<'g> DynamicSpt<'g> {
             return RepairStats::default();
         }
         self.failures.restore_edge(e);
-        if self.failures.node_failed(self.tree.source()) {
-            return RepairStats::default();
-        }
-        let view = self.failures.view(self.graph);
-        repair_after_recoveries_with(&mut self.tree, &view, &self.model, &[e], &mut self.scratch)
+        self.mask.restore_edge(e);
+        repair_after_recoveries(
+            &mut self.tree,
+            &self.csr,
+            &self.mask,
+            &[e],
+            &mut self.scratch,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DetRng, Metric};
+    use crate::{shortest_path_tree, DetRng, Metric};
 
     fn model() -> CostModel {
         CostModel::new(Metric::Weighted, 17)
@@ -574,19 +539,31 @@ mod tests {
         g
     }
 
+    /// Repairs a clone of `base` under `set`; returns it with the stats.
+    fn repaired(
+        csr: &CsrGraph,
+        base: &ShortestPathTree,
+        set: &FailureSet,
+    ) -> (ShortestPathTree, RepairStats) {
+        let mask = FailureMask::from_set(csr, set);
+        let mut tree = base.clone();
+        let stats = repair_after_failures(&mut tree, csr, &mask, &mut RepairScratch::new());
+        assert_eq!(csr.validate_tree(&tree, Some(&mask)), Ok(()));
+        (tree, stats)
+    }
+
     #[test]
     fn single_failure_matches_rebuild_everywhere() {
         let g = sample();
         let m = model();
+        let csr = CsrGraph::new(&g, &m);
         for s in g.nodes() {
             let base = shortest_path_tree(&g, &m, s);
             for e in g.edge_ids() {
                 let failures = FailureSet::of_edge(e);
-                let view = failures.view(&g);
-                let mut repaired = base.clone();
-                repair_after_failure(&mut repaired, &view, &m, e);
-                let rebuilt = shortest_path_tree(&view, &m, s);
-                assert_eq!(repaired, rebuilt, "source {s}, failed edge {e}");
+                let (tree, _) = repaired(&csr, &base, &failures);
+                let rebuilt = shortest_path_tree(&failures.view(&g), &m, s);
+                assert_eq!(tree, rebuilt, "source {s}, failed edge {e}");
             }
         }
     }
@@ -595,6 +572,7 @@ mod tests {
     fn non_tree_edge_failure_is_noop() {
         let g = sample();
         let m = model();
+        let csr = CsrGraph::new(&g, &m);
         let tree = shortest_path_tree(&g, &m, 0.into());
         let non_tree: Vec<EdgeId> = g
             .edge_ids()
@@ -608,10 +586,7 @@ mod tests {
             "sample graph must have non-tree edges"
         );
         for e in non_tree {
-            let failures = FailureSet::of_edge(e);
-            let view = failures.view(&g);
-            let mut repaired = tree.clone();
-            let stats = repair_after_failure(&mut repaired, &view, &m, e);
+            let (repaired, stats) = repaired(&csr, &tree, &FailureSet::of_edge(e));
             assert_eq!(stats.nodes_touched, 0);
             assert_eq!(repaired, tree);
         }
@@ -621,31 +596,31 @@ mod tests {
     fn bridge_failure_detaches_subtree() {
         let g = sample();
         let m = model();
+        let csr = CsrGraph::new(&g, &m);
         // 3-4 is node 4's only cheap attachment; failing both its edges
         // makes 4 unreachable.
         let e34 = g.find_edge(3.into(), 4.into()).unwrap();
         let e24 = g.find_edge(2.into(), 4.into()).unwrap();
-        let mut failures = FailureSet::new();
-        failures.fail_edge(e34);
-        failures.fail_edge(e24);
-        let view = failures.view(&g);
-        let mut tree = shortest_path_tree(&g, &m, 0.into());
-        let stats = repair_after_failures(&mut tree, &view, &m, &[e34, e24]);
+        let failures = FailureSet::of_edges([e34, e24]);
+        let base = shortest_path_tree(&g, &m, 0.into());
+        let (tree, stats) = repaired(&csr, &base, &failures);
         assert!(stats.nodes_touched >= 1);
         assert!(!tree.reachable(4.into()));
-        assert_eq!(tree, shortest_path_tree(&view, &m, 0.into()));
+        assert_eq!(tree, shortest_path_tree(&failures.view(&g), &m, 0.into()));
     }
 
     #[test]
     fn recovery_matches_rebuild_everywhere() {
         let g = sample();
         let m = model();
+        let csr = CsrGraph::new(&g, &m);
+        let clear = FailureMask::new(csr.node_count(), csr.edge_count());
+        let mut scratch = RepairScratch::new();
         for s in g.nodes() {
             for e in g.edge_ids() {
                 // Start from the failed tree, then recover e.
-                let failures = FailureSet::of_edge(e);
-                let mut tree = shortest_path_tree(&failures.view(&g), &m, s);
-                repair_after_recovery(&mut tree, &g, &m, e);
+                let mut tree = shortest_path_tree(&FailureSet::of_edge(e).view(&g), &m, s);
+                repair_after_recoveries(&mut tree, &csr, &clear, &[e], &mut scratch);
                 assert_eq!(
                     tree,
                     shortest_path_tree(&g, &m, s),
@@ -656,59 +631,103 @@ mod tests {
     }
 
     #[test]
+    fn recovery_behind_a_failed_router_changes_nothing() {
+        let g = sample();
+        let m = model();
+        let csr = CsrGraph::new(&g, &m);
+        let e34 = g.find_edge(3.into(), 4.into()).unwrap();
+        let mut failures = FailureSet::of_nodes([4usize]);
+        failures.fail_edge(e34);
+        let mut tree = shortest_path_tree(&failures.view(&g), &m, 0.into());
+        let before = tree.clone();
+        failures.restore_edge(e34);
+        let mask = FailureMask::from_set(&csr, &failures);
+        let stats =
+            repair_after_recoveries(&mut tree, &csr, &mask, &[e34], &mut RepairScratch::new());
+        assert_eq!(stats.nodes_touched, 0);
+        assert_eq!(tree, before);
+    }
+
+    #[test]
     fn parallel_edge_failure_falls_back_to_twin() {
         let mut g = Graph::new(2);
         let cheap = g.add_edge(0, 1, 1).unwrap();
         let pricey = g.add_edge(0, 1, 9).unwrap();
         let m = model();
-        let mut tree = shortest_path_tree(&g, &m, 0.into());
-        assert_eq!(tree.parent_edge(1.into()), Some(cheap));
+        let csr = CsrGraph::new(&g, &m);
+        let base = shortest_path_tree(&g, &m, 0.into());
+        assert_eq!(base.parent_edge(1.into()), Some(cheap));
         let failures = FailureSet::of_edge(cheap);
-        let view = failures.view(&g);
-        let stats = repair_after_failure(&mut tree, &view, &m, cheap);
+        let (tree, stats) = repaired(&csr, &base, &failures);
         assert_eq!(stats.nodes_touched, 1);
         assert_eq!(tree.parent_edge(1.into()), Some(pricey));
-        assert_eq!(tree, shortest_path_tree(&view, &m, 0.into()));
+        assert_eq!(tree, shortest_path_tree(&failures.view(&g), &m, 0.into()));
     }
 
     #[test]
-    fn batch_failure_matches_rebuild_on_random_graphs() {
+    fn mixed_failures_match_rebuild_on_random_graphs() {
         for seed in 0..8u64 {
             let g = random_graph(40, 100, seed);
             let m = CostModel::new(Metric::Weighted, seed ^ 0xABCD);
+            let csr = CsrGraph::new(&g, &m);
             let mut rng = DetRng::seed_from_u64(seed.wrapping_mul(77));
-            let batch: Vec<EdgeId> = (0..5)
-                .map(|_| EdgeId::new(rng.gen_range(0..g.edge_count())))
-                .collect();
             let mut failures = FailureSet::new();
-            for &e in &batch {
-                failures.fail_edge(e);
+            for _ in 0..5 {
+                failures.fail_edge(EdgeId::new(rng.gen_range(0..g.edge_count())));
             }
-            let view = failures.view(&g);
-            let mut tree = shortest_path_tree(&g, &m, 0.into());
-            repair_after_failures(&mut tree, &view, &m, &batch);
-            assert_eq!(tree, shortest_path_tree(&view, &m, 0.into()), "seed {seed}");
+            failures.fail_node(NodeId::new(rng.gen_range(1..g.node_count())));
+            let base = shortest_path_tree(&g, &m, 0.into());
+            let (tree, _) = repaired(&csr, &base, &failures);
+            let want = shortest_path_tree(&failures.view(&g), &m, 0.into());
+            assert_eq!(tree, want, "seed {seed}");
         }
     }
 
     #[test]
-    fn node_failure_as_incident_edges_matches_rebuild() {
+    fn node_failure_matches_rebuild() {
         let g = sample();
         let m = model();
+        let csr = CsrGraph::new(&g, &m);
+        let base = shortest_path_tree(&g, &m, 0.into());
         for dead in 1..5usize {
-            let mut failures = FailureSet::new();
-            failures.fail_node(dead.into());
-            let incident: Vec<EdgeId> = g.neighbors(dead.into()).map(|h| h.edge).collect();
-            let view = failures.view(&g);
-            let mut tree = shortest_path_tree(&g, &m, 0.into());
-            repair_after_failures(&mut tree, &view, &m, &incident);
+            let failures = FailureSet::of_nodes([dead]);
+            let (tree, _) = repaired(&csr, &base, &failures);
             assert_eq!(
                 tree,
-                shortest_path_tree(&view, &m, 0.into()),
+                shortest_path_tree(&failures.view(&g), &m, 0.into()),
                 "failed node {dead}"
             );
             assert!(!tree.reachable(dead.into()));
         }
+    }
+
+    #[test]
+    fn failed_node_never_reattaches() {
+        // 0 -1- 1 -1- 2, plus a heavy 0-2. Failing router 1 detaches 1 and
+        // 2; the live edge 0-1 must not re-seed the dead router.
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 1).unwrap();
+        g.add_edge(1, 2, 1).unwrap();
+        let heavy = g.add_edge(0, 2, 10).unwrap();
+        let m = model();
+        let csr = CsrGraph::new(&g, &m);
+        let base = shortest_path_tree(&g, &m, 0.into());
+        let (tree, stats) = repaired(&csr, &base, &FailureSet::of_nodes([1usize]));
+        assert_eq!(stats.nodes_touched, 2);
+        assert!(!tree.reachable(1.into()));
+        assert_eq!(tree.parent_edge(2.into()), Some(heavy));
+    }
+
+    #[test]
+    fn failed_source_makes_every_node_unreachable() {
+        let g = sample();
+        let m = model();
+        let csr = CsrGraph::new(&g, &m);
+        let base = shortest_path_tree(&g, &m, 2.into());
+        let (tree, stats) = repaired(&csr, &base, &FailureSet::of_nodes([2usize]));
+        assert_eq!(stats.nodes_touched, g.node_count());
+        assert!(g.nodes().all(|v| !tree.reachable(v)));
+        assert_eq!(tree.source(), NodeId::new(2));
     }
 
     #[test]
@@ -739,14 +758,16 @@ mod tests {
         for seed in 0..4u64 {
             let g = random_graph(20 + 5 * seed as usize, 60, seed);
             let m = CostModel::new(Metric::Weighted, seed);
+            let csr = CsrGraph::new(&g, &m);
+            let clear = FailureMask::new(csr.node_count(), csr.edge_count());
             for e in g.edge_ids().step_by(7) {
                 let failures = FailureSet::of_edge(e);
-                let view = failures.view(&g);
-                let mut with_scratch = shortest_path_tree(&g, &m, 0.into());
-                repair_after_failures_with(&mut with_scratch, &view, &m, &[e], &mut scratch);
-                assert_eq!(with_scratch, shortest_path_tree(&view, &m, 0.into()));
-                repair_after_recoveries_with(&mut with_scratch, &g, &m, &[e], &mut scratch);
-                assert_eq!(with_scratch, shortest_path_tree(&g, &m, 0.into()));
+                let mask = FailureMask::from_set(&csr, &failures);
+                let mut tree = shortest_path_tree(&g, &m, 0.into());
+                repair_after_failures(&mut tree, &csr, &mask, &mut scratch);
+                assert_eq!(tree, shortest_path_tree(&failures.view(&g), &m, 0.into()));
+                repair_after_recoveries(&mut tree, &csr, &clear, &[e], &mut scratch);
+                assert_eq!(tree, shortest_path_tree(&g, &m, 0.into()));
             }
         }
         assert!(scratch.runs() > 4);

@@ -79,9 +79,7 @@ pub use cuts::{cut_elements, CutElements};
 pub use digraph::{ArcId, ArcRecord, DiGraph};
 pub use dijkstra::{distance, shortest_path, shortest_path_avoiding, shortest_path_tree};
 pub use dynamic::{
-    repair_after_failure, repair_after_failures, repair_after_failures_with,
-    repair_after_recoveries, repair_after_recoveries_with, repair_after_recovery, DynamicSpt,
-    RepairScratch, RepairStats,
+    repair_after_failures, repair_after_recoveries, DynamicSpt, RepairScratch, RepairStats,
 };
 pub use error::{GraphError, PathError};
 pub use graph::{DegreeStats, EdgeRecord, Graph, HalfEdge};

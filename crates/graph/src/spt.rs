@@ -1,6 +1,6 @@
 //! Shortest-path trees.
 
-use crate::{EdgeId, Graph, NodeId, Path, PathCost};
+use crate::{EdgeId, NodeId, Path, PathCost};
 
 pub(crate) const NO_EDGE: u32 = u32::MAX;
 pub(crate) const NO_NODE: u32 = u32::MAX;
@@ -395,12 +395,6 @@ impl ShortestPathTree {
     pub fn approx_bytes(&self) -> usize {
         self.dist.len() * (16 + 8 + 4 + 4 + 4)
     }
-
-    /// Reference to the raw graph this tree indexes into is not stored;
-    /// validate compatibility by node count.
-    pub fn compatible_with(&self, graph: &Graph) -> bool {
-        graph.node_count() == self.dist.len()
-    }
 }
 
 /// The children relation of a [`ShortestPathTree`] in compressed-sparse-row
@@ -458,7 +452,7 @@ impl FlatChildren {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{shortest_path_tree, CostModel, Metric};
+    use crate::{shortest_path_tree, CostModel, Graph, Metric};
 
     fn line(n: usize) -> Graph {
         let mut g = Graph::new(n);
@@ -573,11 +567,10 @@ mod tests {
     }
 
     #[test]
-    fn compatibility_and_size() {
+    fn size_covers_every_node() {
         let g = line(3);
         let t = spt(&g, 0);
-        assert!(t.compatible_with(&g));
-        assert!(!t.compatible_with(&line(4)));
+        assert_eq!(t.node_count(), 3);
         assert!(t.approx_bytes() >= 3 * 32);
     }
 }

@@ -1,231 +1,307 @@
-//! Property-based tests for the graph substrate.
+//! Property tests for the graph substrate, written as seeded [`DetRng`]
+//! loops so they compile and run in offline builds: every property draws
+//! its random multigraphs and parameters from a fixed seed per case, and a
+//! failing case names that seed.
 
-// Requires the external `proptest` crate: compiled only with `--features proptest`
-// (offline builds ship without it).
-#![cfg(feature = "proptest")]
-
-use proptest::prelude::*;
 use rbpc_graph::{
-    bfs_distances, count_shortest_paths, distance, shortest_path, shortest_path_tree, CostModel,
-    FailureSet, Graph, Metric, NodeId,
+    bfs_distances, count_shortest_paths, cut_elements, distance, k_shortest_paths,
+    repair_after_failures, repair_after_recoveries, shortest_path, shortest_path_tree, CostModel,
+    CsrGraph, DetRng, DijkstraScratch, EdgeId, FailureMask, FailureSet, Graph, Metric, NodeId,
+    RepairScratch, ShortestPathTree,
 };
 
-/// Strategy: a connected-ish random multigraph with 2..=24 nodes.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (2usize..=24).prop_flat_map(|n| {
-        let edges = proptest::collection::vec((0..n, 0..n, 1u32..=20), 1..=3 * n);
-        edges.prop_map(move |list| {
-            let mut g = Graph::new(n);
-            // A deterministic spine keeps most generated graphs connected,
-            // which makes the reachability-dependent properties bite.
-            for i in 0..n - 1 {
-                g.add_edge(i, i + 1, 7).unwrap();
-            }
-            for (a, b, w) in list {
-                if a != b {
-                    g.add_edge(a, b, w).unwrap();
-                }
-            }
-            g
-        })
-    })
+/// Random multigraph with `nodes` nodes: a spine of `spine_weight` edges
+/// keeps most graphs connected (so the reachability-dependent properties
+/// bite), plus up to `extra_per_node · n` random edges weighted
+/// `1..=max_weight`.
+fn random_graph(
+    rng: &mut DetRng,
+    nodes: std::ops::RangeInclusive<usize>,
+    spine_weight: u32,
+    max_weight: u32,
+    extra_per_node: usize,
+) -> Graph {
+    let n = rng.gen_range(nodes);
+    let mut g = Graph::new(n);
+    for i in 0..n - 1 {
+        g.add_edge(i, i + 1, spine_weight).unwrap();
+    }
+    for _ in 0..rng.gen_range(1..=extra_per_node * n) {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            g.add_edge(a, b, rng.gen_range(1..=max_weight)).unwrap();
+        }
+    }
+    g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Runs `check` on `cases` seeded cases, each with a 2..=24-node graph,
+/// a cost-model seed, and the case's own generator for further draws.
+fn for_cases(name: &str, cases: u64, mut check: impl FnMut(&Graph, u64, &mut DetRng)) {
+    for case in 0..cases {
+        let mut rng = DetRng::seed_from_u64(case ^ 0x9E37_79B9_7F4A_7C15);
+        let g = random_graph(&mut rng, 2..=24, 7, 20, 3);
+        let seed = rng.gen_range(0..1000u64);
+        eprintln!("{name}: case {case}");
+        check(&g, seed, &mut rng);
+    }
+}
 
-    /// Distances are symmetric in an undirected graph.
-    #[test]
-    fn distance_symmetry(g in arb_graph(), seed in 0u64..1000) {
+/// Distances are symmetric in an undirected graph.
+#[test]
+fn distance_symmetry() {
+    for_cases("distance_symmetry", 64, |g, seed, _| {
         let m = CostModel::new(Metric::Weighted, seed);
         let n = g.node_count();
         for s in 0..n.min(5) {
             for t in 0..n.min(5) {
-                let st = distance(&g, &m, s.into(), t.into()).map(|c| c.base);
-                let ts = distance(&g, &m, t.into(), s.into()).map(|c| c.base);
-                prop_assert_eq!(st, ts);
+                let st = distance(g, &m, s.into(), t.into()).map(|c| c.base);
+                let ts = distance(g, &m, t.into(), s.into()).map(|c| c.base);
+                assert_eq!(st, ts);
             }
         }
-    }
+    });
+}
 
-    /// Triangle inequality holds for base distances.
-    #[test]
-    fn triangle_inequality(g in arb_graph(), seed in 0u64..1000) {
+/// Triangle inequality holds for base distances.
+#[test]
+fn triangle_inequality() {
+    for_cases("triangle_inequality", 64, |g, seed, _| {
         let m = CostModel::new(Metric::Weighted, seed);
-        let t0 = shortest_path_tree(&g, &m, 0.into());
-        let t1 = shortest_path_tree(&g, &m, NodeId::new(g.node_count() - 1));
+        let t0 = shortest_path_tree(g, &m, 0.into());
+        let t1 = shortest_path_tree(g, &m, NodeId::new(g.node_count() - 1));
         for v in g.nodes() {
-            if let (Some(a), Some(b), Some(direct)) = (
-                t0.base_dist(v),
-                t1.base_dist(v),
-                t0.base_dist(t1.source()),
-            ) {
-                prop_assert!(direct <= a + b);
+            if let (Some(a), Some(b), Some(direct)) =
+                (t0.base_dist(v), t1.base_dist(v), t0.base_dist(t1.source()))
+            {
+                assert!(direct <= a + b);
             }
         }
-    }
+    });
+}
 
-    /// Under the unweighted metric, Dijkstra's hop distances equal BFS.
-    #[test]
-    fn unweighted_equals_bfs(g in arb_graph(), seed in 0u64..1000) {
+/// Under the unweighted metric, Dijkstra's hop distances equal BFS.
+#[test]
+fn unweighted_equals_bfs() {
+    for_cases("unweighted_equals_bfs", 64, |g, seed, _| {
         let m = CostModel::new(Metric::Unweighted, seed);
-        let t = shortest_path_tree(&g, &m, 0.into());
-        let bfs = bfs_distances(&g, 0.into());
+        let t = shortest_path_tree(g, &m, 0.into());
+        let bfs = bfs_distances(g, 0.into());
         for v in g.nodes() {
-            prop_assert_eq!(t.base_dist(v), bfs[v.index()].map(u64::from));
+            assert_eq!(t.base_dist(v), bfs[v.index()].map(u64::from));
         }
-    }
+    });
+}
 
-    /// The tie-broken shortest path is unique: forward and reverse queries
-    /// return the same path (reversed), and the tree agrees with the
-    /// point-to-point query.
-    #[test]
-    fn canonical_paths_agree(g in arb_graph(), seed in 0u64..1000) {
+/// The tie-broken shortest path is unique: forward and reverse queries
+/// return the same path (reversed), and the tree agrees with the
+/// point-to-point query.
+#[test]
+fn canonical_paths_agree() {
+    for_cases("canonical_paths_agree", 64, |g, seed, _| {
         let m = CostModel::new(Metric::Weighted, seed);
-        let n = g.node_count();
-        let t = NodeId::new(n - 1);
-        let tree = shortest_path_tree(&g, &m, 0.into());
-        if let Some(p) = shortest_path(&g, &m, 0.into(), t) {
-            prop_assert_eq!(&p, &tree.path_to(t).unwrap());
-            let back = shortest_path(&g, &m, t, 0.into()).unwrap();
-            prop_assert_eq!(p, back.reversed());
+        let t = NodeId::new(g.node_count() - 1);
+        let tree = shortest_path_tree(g, &m, 0.into());
+        if let Some(p) = shortest_path(g, &m, 0.into(), t) {
+            assert_eq!(&p, &tree.path_to(t).unwrap());
+            let back = shortest_path(g, &m, t, 0.into()).unwrap();
+            assert_eq!(p, back.reversed());
         }
-    }
+    });
+}
 
-    /// Subpath optimality under the perturbed metric: every subpath of a
-    /// canonical shortest path is itself the canonical shortest path of its
-    /// endpoints. (This is what greedy RBPC decomposition relies on.)
-    #[test]
-    fn subpath_optimality(g in arb_graph(), seed in 0u64..1000) {
+/// Subpath optimality under the perturbed metric: every subpath of a
+/// canonical shortest path is itself the canonical shortest path of its
+/// endpoints. (This is what greedy RBPC decomposition relies on.)
+#[test]
+fn subpath_optimality() {
+    for_cases("subpath_optimality", 64, |g, seed, _| {
         let m = CostModel::new(Metric::Weighted, seed);
-        let n = g.node_count();
-        let tree = shortest_path_tree(&g, &m, 0.into());
-        if let Some(p) = tree.path_to(NodeId::new(n - 1)) {
+        let tree = shortest_path_tree(g, &m, 0.into());
+        if let Some(p) = tree.path_to(NodeId::new(g.node_count() - 1)) {
             let len = p.nodes().len();
             for i in 0..len.min(4) {
                 for j in i..len {
                     let sub = p.subpath(i, j);
-                    let canonical =
-                        shortest_path(&g, &m, sub.source(), sub.target()).unwrap();
-                    prop_assert_eq!(sub, canonical);
+                    let canonical = shortest_path(g, &m, sub.source(), sub.target()).unwrap();
+                    assert_eq!(sub, canonical);
                 }
             }
         }
-    }
+    });
+}
 
-    /// Failing elements never shortens any distance, and restoring them
-    /// returns to baseline.
-    #[test]
-    fn failures_monotone(g in arb_graph(), seed in 0u64..1000, kill in 0usize..6) {
+/// Failing elements never shortens any distance.
+#[test]
+fn failures_monotone() {
+    for_cases("failures_monotone", 64, |g, seed, rng| {
         let m = CostModel::new(Metric::Weighted, seed);
         let t = NodeId::new(g.node_count() - 1);
-        let before = distance(&g, &m, 0.into(), t).map(|c| c.base);
-        let mut f = FailureSet::new();
-        for e in g.edge_ids().take(kill) {
-            f.fail_edge(e);
-        }
-        let view = f.view(&g);
-        let after = distance(&view, &m, 0.into(), t).map(|c| c.base);
+        let before = distance(g, &m, 0.into(), t).map(|c| c.base);
+        let f = FailureSet::of_edges(g.edge_ids().take(rng.gen_range(0..6usize)));
+        let after = distance(&f.view(g), &m, 0.into(), t).map(|c| c.base);
         match (before, after) {
-            (None, Some(_)) => prop_assert!(false, "failure created connectivity"),
-            (Some(b), Some(a)) => prop_assert!(a >= b),
+            (None, Some(_)) => panic!("failure created connectivity"),
+            (Some(b), Some(a)) => assert!(a >= b),
             _ => {}
         }
-    }
+    });
+}
 
-    /// Shortest-path counts are positive exactly on reachable nodes.
-    #[test]
-    fn counts_match_reachability(g in arb_graph()) {
-        let counts = count_shortest_paths(&g, Metric::Weighted, 0.into());
-        let bfs = bfs_distances(&g, 0.into());
+/// Shortest-path counts are positive exactly on reachable nodes.
+#[test]
+fn counts_match_reachability() {
+    for_cases("counts_match_reachability", 64, |g, _, _| {
+        let counts = count_shortest_paths(g, Metric::Weighted, 0.into());
+        let bfs = bfs_distances(g, 0.into());
         for v in g.nodes() {
-            prop_assert_eq!(counts[v.index()] > 0, bfs[v.index()].is_some());
+            assert_eq!(counts[v.index()] > 0, bfs[v.index()].is_some());
         }
-    }
+    });
+}
 
-    /// The returned path is a valid walk whose cost matches the reported
-    /// distance.
-    #[test]
-    fn path_cost_consistency(g in arb_graph(), seed in 0u64..1000) {
+/// The returned path is a valid walk whose cost matches the reported
+/// distance.
+#[test]
+fn path_cost_consistency() {
+    for_cases("path_cost_consistency", 64, |g, seed, _| {
         let m = CostModel::new(Metric::Weighted, seed);
         let t = NodeId::new(g.node_count() / 2);
-        if let Some(p) = shortest_path(&g, &m, 0.into(), t) {
-            prop_assert!(p.is_simple());
-            prop_assert_eq!(p.source(), 0.into());
-            prop_assert_eq!(p.target(), t);
-            let d = distance(&g, &m, 0.into(), t).unwrap();
-            prop_assert_eq!(p.cost(&g, &m), d);
+        if let Some(p) = shortest_path(g, &m, 0.into(), t) {
+            assert!(p.is_simple());
+            assert_eq!(p.source(), 0.into());
+            assert_eq!(p.target(), t);
+            let d = distance(g, &m, 0.into(), t).unwrap();
+            assert_eq!(p.cost(g, &m), d);
             // Every hop must be a real edge joining consecutive nodes.
             for (i, &e) in p.edges().iter().enumerate() {
                 let rec = g.edge(e);
-                prop_assert!(rec.touches(p.nodes()[i]));
-                prop_assert!(rec.touches(p.nodes()[i + 1]));
+                assert!(rec.touches(p.nodes()[i]));
+                assert!(rec.touches(p.nodes()[i + 1]));
             }
+        }
+    });
+}
+
+/// Yen's paths are simple, distinct, sorted, and start with the canonical
+/// shortest path.
+#[test]
+fn yen_invariants() {
+    for case in 0..48u64 {
+        let mut rng = DetRng::seed_from_u64(case ^ 0x5EED_0001);
+        let g = random_graph(&mut rng, 4..=14, 5, 9, 2);
+        let m = CostModel::new(Metric::Weighted, rng.gen_range(0..500u64));
+        let k = rng.gen_range(1..6usize);
+        let t = NodeId::new(g.node_count() - 1);
+        let ps = k_shortest_paths(&g, &m, NodeId::new(0), t, k);
+        assert!(!ps.is_empty() && ps.len() <= k, "case {case}");
+        assert_eq!(
+            ps[0].cost(&g, &m).base,
+            distance(&g, &m, NodeId::new(0), t).unwrap().base,
+            "case {case}"
+        );
+        for w in ps.windows(2) {
+            assert!(w[0].cost(&g, &m).perturbed <= w[1].cost(&g, &m).perturbed);
+            assert_ne!(&w[0], &w[1], "case {case}");
+        }
+        assert!(ps.iter().all(|p| p.is_simple()), "case {case}");
+    }
+}
+
+/// An edge is a bridge iff failing it disconnects its endpoints.
+#[test]
+fn bridges_match_disconnection() {
+    for case in 0..48u64 {
+        let mut rng = DetRng::seed_from_u64(case ^ 0x5EED_0002);
+        let g = random_graph(&mut rng, 4..=14, 5, 9, 2);
+        let m = CostModel::new(Metric::Weighted, rng.gen_range(0..500u64));
+        let cuts = cut_elements(&g);
+        for e in g.edge_ids() {
+            let (u, v) = g.endpoints(e);
+            let view_set = FailureSet::of_edge(e);
+            let disconnected = distance(&view_set.view(&g), &m, u, v).is_none();
+            assert_eq!(
+                disconnected,
+                cuts.bridges.contains(&e),
+                "case {case}, edge {e}"
+            );
         }
     }
 }
 
-mod yen_and_cuts {
-    use proptest::prelude::*;
-    use rbpc_graph::{
-        cut_elements, distance, k_shortest_paths, CostModel, FailureSet, Graph, Metric, NodeId,
-    };
+/// Checks a CSR-repaired tree against the reference Dijkstra over the
+/// `FailureView` of `set`, and against the CSR tree validator.
+fn assert_repair_exact(g: &Graph, csr: &CsrGraph, tree: &ShortestPathTree, set: &FailureSet) {
+    let m = csr.model();
+    let want = shortest_path_tree(&set.view(g), m, tree.source());
+    assert_eq!(tree, &want, "source {}, failures {set:?}", tree.source());
+    let mask = FailureMask::from_set(csr, set);
+    assert_eq!(csr.validate_tree(tree, Some(&mask)), Ok(()));
+}
 
-    fn arb_graph() -> impl Strategy<Value = Graph> {
-        (4usize..=14).prop_flat_map(|n| {
-            let edges = proptest::collection::vec((0..n, 0..n, 1u32..=9), 1..=2 * n);
-            edges.prop_map(move |list| {
-                let mut g = Graph::new(n);
-                for i in 0..n - 1 {
-                    g.add_edge(i, i + 1, 5).unwrap();
-                }
-                for (a, b, w) in list {
-                    if a != b {
-                        g.add_edge(a, b, w).unwrap();
-                    }
-                }
-                g
-            })
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Yen's paths are simple, distinct, sorted, and start with the
-        /// canonical shortest path.
-        #[test]
-        fn yen_invariants(g in arb_graph(), seed in 0u64..500, k in 1usize..6) {
-            let m = CostModel::new(Metric::Weighted, seed);
-            let t = NodeId::new(g.node_count() - 1);
-            let ps = k_shortest_paths(&g, &m, NodeId::new(0), t, k);
-            prop_assert!(!ps.is_empty());
-            prop_assert!(ps.len() <= k);
-            prop_assert_eq!(
-                ps[0].cost(&g, &m).base,
-                distance(&g, &m, NodeId::new(0), t).unwrap().base
-            );
-            for w in ps.windows(2) {
-                prop_assert!(w[0].cost(&g, &m).perturbed <= w[1].cost(&g, &m).perturbed);
-                prop_assert_ne!(&w[0], &w[1]);
-            }
-            for p in &ps {
-                prop_assert!(p.is_simple());
-            }
-        }
-
-        /// An edge is a bridge iff failing it disconnects its endpoints.
-        #[test]
-        fn bridges_match_disconnection(g in arb_graph(), seed in 0u64..500) {
-            let m = CostModel::new(Metric::Weighted, seed);
-            let cuts = cut_elements(&g);
-            for e in g.edge_ids() {
-                let (u, v) = g.endpoints(e);
-                let f = FailureSet::of_edge(e);
-                let view = f.view(&g);
-                let disconnected = distance(&view, &m, u, v).is_none();
-                prop_assert_eq!(disconnected, cuts.bridges.contains(&e), "edge {}", e);
-            }
+/// A tree node that is neither the source nor a leaf, if there is one.
+fn interior_node(tree: &ShortestPathTree, rng: &mut DetRng) -> Option<NodeId> {
+    let n = tree.node_count();
+    let mut has_child = vec![false; n];
+    for v in (0..n).map(NodeId::new) {
+        if let Some(p) = tree.parent_node(v) {
+            has_child[p.index()] = true;
         }
     }
+    let interior: Vec<usize> = (0..n)
+        .filter(|&v| has_child[v] && v != tree.source().index())
+        .collect();
+    (!interior.is_empty()).then(|| NodeId::new(interior[rng.gen_range(0..interior.len())]))
+}
+
+/// The CSR repair engine under random edge failures, interior-node
+/// failures, and a failed source: every repaired tree equals the reference
+/// rebuild over the failed view and passes `CsrGraph::validate_tree`. The
+/// failures arrive in two steps (edges, then edges plus a node), so the
+/// second repair starts from an already-repaired tree; the edges then
+/// recover one at a time.
+#[test]
+fn csr_repair_matches_reference_rebuild() {
+    let mut scratch = RepairScratch::new();
+    for_cases(
+        "csr_repair_matches_reference_rebuild",
+        64,
+        |g, seed, rng| {
+            let csr = CsrGraph::new(g, &CostModel::new(Metric::Weighted, seed));
+            let mut dijkstra = DijkstraScratch::new(csr.node_count());
+            let n = g.node_count();
+            for source in [0, n / 2, n - 1].map(NodeId::new) {
+                let base = csr.full_tree(source, &mut dijkstra);
+                let mut set = FailureSet::new();
+                for _ in 0..rng.gen_range(1..=4usize) {
+                    set.fail_edge(EdgeId::new(rng.gen_range(0..g.edge_count())));
+                }
+                let mut tree = base.clone();
+                let mut mask = FailureMask::from_set(&csr, &set);
+                repair_after_failures(&mut tree, &csr, &mask, &mut scratch);
+                assert_repair_exact(g, &csr, &tree, &set);
+
+                if let Some(v) = interior_node(&base, rng) {
+                    set.fail_node(v);
+                    mask.fail_node(v);
+                    repair_after_failures(&mut tree, &csr, &mask, &mut scratch);
+                    assert_repair_exact(g, &csr, &tree, &set);
+                }
+                let edges: Vec<EdgeId> = set.failed_edges().collect();
+                for e in edges {
+                    set.restore_edge(e);
+                    mask.restore_edge(e);
+                    repair_after_recoveries(&mut tree, &csr, &mask, &[e], &mut scratch);
+                    assert_repair_exact(g, &csr, &tree, &set);
+                }
+
+                let mut dead_source = FailureSet::of_nodes([source]);
+                dead_source.fail_edge(EdgeId::new(rng.gen_range(0..g.edge_count())));
+                let mut tree = base.clone();
+                let mask = FailureMask::from_set(&csr, &dead_source);
+                repair_after_failures(&mut tree, &csr, &mask, &mut scratch);
+                assert_repair_exact(g, &csr, &tree, &dead_source);
+            }
+        },
+    );
 }

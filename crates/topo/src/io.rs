@@ -12,7 +12,8 @@
 //! topologies can be fed to the evaluation harness.
 
 use core::fmt;
-use rbpc_graph::{Graph, GraphError};
+use rbpc_graph::{CostModel, Graph, GraphError};
+use std::str::{FromStr, SplitWhitespace};
 
 /// Error produced when parsing an edge-list document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,8 +64,10 @@ impl std::error::Error for TopologyParseError {
 ///
 /// # Errors
 ///
-/// Returns [`TopologyParseError`] on malformed lines, a missing header, or
-/// edges the graph rejects.
+/// Returns [`TopologyParseError`] on malformed lines (including a weight
+/// that does not fit `u32` and a node count above
+/// [`CostModel::MAX_NODES`]), a missing or repeated header, or edges the
+/// graph rejects.
 ///
 /// ```
 /// use rbpc_topo::parse_edge_list;
@@ -81,31 +84,31 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, TopologyParseError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let malformed = TopologyParseError::Malformed { line: line_no };
         let mut parts = line.split_whitespace();
         match parts.next() {
             Some("nodes") => {
-                let n: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or(TopologyParseError::Malformed { line: line_no })?;
-                if parts.next().is_some() {
-                    return Err(TopologyParseError::Malformed { line: line_no });
+                if let Some(g) = &graph {
+                    // A second header would silently drop what was read.
+                    return Err(if g.edge_count() > 0 {
+                        TopologyParseError::MissingHeader
+                    } else {
+                        malformed
+                    });
+                }
+                let n: usize = next_field(&mut parts, line_no)?;
+                if n > CostModel::MAX_NODES || parts.next().is_some() {
+                    return Err(malformed);
                 }
                 graph = Some(Graph::new(n));
             }
             Some("edge") => {
                 let g = graph.as_mut().ok_or(TopologyParseError::MissingHeader)?;
-                let mut field = || -> Result<u64, TopologyParseError> {
-                    parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or(TopologyParseError::Malformed { line: line_no })
-                };
-                let u = field()? as usize;
-                let v = field()? as usize;
-                let w = field()? as u32;
+                let u: usize = next_field(&mut parts, line_no)?;
+                let v: usize = next_field(&mut parts, line_no)?;
+                let w: u32 = next_field(&mut parts, line_no)?;
                 if parts.next().is_some() {
-                    return Err(TopologyParseError::Malformed { line: line_no });
+                    return Err(malformed);
                 }
                 g.add_edge(u, v, w)
                     .map_err(|source| TopologyParseError::Graph {
@@ -113,10 +116,22 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, TopologyParseError> {
                         source,
                     })?;
             }
-            _ => return Err(TopologyParseError::Malformed { line: line_no }),
+            _ => return Err(malformed),
         }
     }
     graph.ok_or(TopologyParseError::MissingHeader)
+}
+
+/// The next field of line `line`, parsed as `T`; a missing field or one
+/// out of `T`'s range is malformed.
+fn next_field<T: FromStr>(
+    parts: &mut SplitWhitespace<'_>,
+    line: usize,
+) -> Result<T, TopologyParseError> {
+    parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or(TopologyParseError::Malformed { line })
 }
 
 /// Serializes a graph to the edge-list format parsed by
@@ -185,6 +200,48 @@ mod tests {
         assert_eq!(
             parse_edge_list("link 0 1 1\n").unwrap_err(),
             TopologyParseError::Malformed { line: 1 }
+        );
+    }
+
+    #[test]
+    fn weight_above_u32_is_malformed() {
+        // 2^32 + 1 used to truncate to a weight of 1.
+        assert_eq!(
+            parse_edge_list("nodes 2\nedge 0 1 4294967297\n").unwrap_err(),
+            TopologyParseError::Malformed { line: 2 }
+        );
+        let g = parse_edge_list("nodes 2\nedge 0 1 4294967295\n").unwrap();
+        assert_eq!(g.weight(0.into()), u32::MAX);
+    }
+
+    #[test]
+    fn node_count_above_the_padding_limit_is_malformed() {
+        let over = format!("nodes {}\n", CostModel::MAX_NODES + 1);
+        assert_eq!(
+            parse_edge_list(&over).unwrap_err(),
+            TopologyParseError::Malformed { line: 1 }
+        );
+        assert_eq!(
+            parse_edge_list("nodes 18446744073709551616\n").unwrap_err(),
+            TopologyParseError::Malformed { line: 1 }
+        );
+        let at = format!("nodes {}\n", CostModel::MAX_NODES);
+        assert_eq!(
+            parse_edge_list(&at).unwrap().node_count(),
+            CostModel::MAX_NODES
+        );
+    }
+
+    #[test]
+    fn repeated_header_is_an_error() {
+        // A header after edges used to discard them silently.
+        assert_eq!(
+            parse_edge_list("nodes 3\nedge 0 1 1\nnodes 3\nedge 1 2 1\n").unwrap_err(),
+            TopologyParseError::MissingHeader
+        );
+        assert_eq!(
+            parse_edge_list("nodes 3\n# again\nnodes 4\n").unwrap_err(),
+            TopologyParseError::Malformed { line: 3 }
         );
     }
 

@@ -67,6 +67,9 @@ cargo test --release --test csr_parallel -q
 echo "== batched SPT kernel property test (release: bit-identical to scalar across masks/batches/threads)"
 cargo test --release --test spt_batch -q
 
+echo "== CSR repair property test (release: repaired trees bit-identical to rebuilds under churn)"
+cargo test --release --test spt_repair -q
+
 echo "== sharded-store property test (release: bit-identical to dense at 1/2/8 threads)"
 cargo test --release -p rbpc-core --test sharded_store -q
 
@@ -77,6 +80,9 @@ target/release/rbpc-eval paper-scale --smoke \
     --incident-out /tmp/rbpc-paperscale-incident.jsonl
 target/release/rbpc-eval replay /tmp/rbpc-paperscale-incident.jsonl
 rm -f /tmp/rbpc-paperscale-smoke.jsonl /tmp/rbpc-paperscale-incident.jsonl
+
+echo "== perfbench tests (release: the benchmark still compiles against the workspace API)"
+cargo test --release --locked --manifest-path perfbench/Cargo.toml -q
 
 if [[ "${SKIP_BENCH_GATE:-0}" = "1" ]]; then
     echo "== bench gate skipped (SKIP_BENCH_GATE=1)"
