@@ -23,6 +23,17 @@
 //! ([`repair_after_failures`]), failed source routers included, so the
 //! restore path has one graph representation.
 //!
+//! Greedy decomposition asks one question per segment head `path[i]`:
+//! how far does the path follow `path[i]`'s tree? The dense store walks
+//! the resident tree (two array reads per hop). The lazy and sharded
+//! stores walk it too when the head's tree is resident; otherwise they
+//! run a bounded probe ([`CsrGraph::longest_tree_prefix`]): a two-sided
+//! search that checks whether the whole rest of the path is the unique
+//! shortest path, and failing that a Dijkstra from the head that stops
+//! at the first hop leaving its tree. A cold head then costs a few
+//! small balls, not a tree (lazy) or 32-tree shard (sharded) build, and
+//! the probe never touches residency.
+//!
 //! All stores return bit-identical answers because the trees are
 //! canonical for a given `(metric, seed)`.
 
@@ -106,6 +117,48 @@ pub(crate) fn with_repaired_spt<O: BasePathOracle, R>(
         };
         f(&tree)
     })
+}
+
+/// The stores' `longest_base_prefix`: walks `resident`, the tree of
+/// `path.nodes()[from]` when the store holds it, and otherwise answers
+/// with one bounded probe on `csr` ([`CsrGraph::longest_tree_prefix`]),
+/// which builds, caches and evicts nothing. Both give the tree-step walk's
+/// answer: the probe stops at the first hop that leaves the head's tree,
+/// which is all greedy decomposition asks.
+pub(crate) fn resident_or_probed_prefix(
+    csr: &CsrGraph,
+    resident: Option<&ShortestPathTree>,
+    path: &Path,
+    from: usize,
+) -> usize {
+    thread_local! {
+        static PROBE: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new(0));
+    }
+    if let Some(spt) = resident {
+        return tree_prefix(spt, path, from);
+    }
+    obs_count!("core.decompose.bounded_probe");
+    PROBE.with(|s| {
+        let scratch = &mut *s.borrow_mut();
+        let before = scratch.settled_total();
+        let j = csr.longest_tree_prefix(path.nodes(), path.edges(), from, scratch);
+        obs_record!(
+            "core.decompose.probe_settled",
+            scratch.settled_total() - before
+        );
+        j
+    })
+}
+
+/// The tree-step walk: the largest `j ≥ from` such that `path[from..=j]`
+/// is a path of `spt`, the tree of `path.nodes()[from]`.
+fn tree_prefix(spt: &ShortestPathTree, path: &Path, from: usize) -> usize {
+    let (nodes, edges) = (path.nodes(), path.edges());
+    let mut j = from;
+    while j + 1 < nodes.len() && spt.is_tree_step(nodes[j], edges[j], nodes[j + 1]) {
+        j += 1;
+    }
+    j
 }
 
 /// The provisioned base set: one canonical shortest path per ordered pair.
@@ -194,20 +247,18 @@ pub trait BasePathOracle {
     /// base path. Returns `from` itself when not even one hop matches the
     /// tree of `path.nodes()[from]`.
     ///
+    /// The default walks the head's tree from
+    /// [`with_spt`](BasePathOracle::with_spt), building it if need be.
+    /// The lazy and sharded stores override it to walk a resident tree
+    /// and otherwise run a bounded probe that leaves the store untouched.
+    ///
     /// # Panics
     ///
     /// Panics if `from` is out of range for the path.
     fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
         let nodes = path.nodes();
-        let edges = path.edges();
         assert!(from < nodes.len(), "from out of range");
-        self.with_spt(nodes[from], |spt| {
-            let mut j = from;
-            while j + 1 < nodes.len() && spt.is_tree_step(nodes[j], edges[j], nodes[j + 1]) {
-                j += 1;
-            }
-            j
-        })
+        self.with_spt(nodes[from], |spt| tree_prefix(spt, path, from))
     }
 }
 
@@ -382,11 +433,20 @@ impl LazyBasePaths {
         sources.len()
     }
 
-    fn tree(&self, source: NodeId) -> Arc<ShortestPathTree> {
+    /// The cached tree of `source`, counted as a hit, or `None` without
+    /// building anything.
+    fn cached(&self, source: NodeId) -> Option<Arc<ShortestPathTree>> {
         let key = source.index() as u32;
-        if let Some(t) = lock_unpoisoned(&self.cache).map.get(&key) {
+        let tree = lock_unpoisoned(&self.cache).map.get(&key).cloned();
+        if tree.is_some() {
             obs_count!("core.basepaths.cache_hit");
-            return Arc::clone(t);
+        }
+        tree
+    }
+
+    fn tree(&self, source: NodeId) -> Arc<ShortestPathTree> {
+        if let Some(t) = self.cached(source) {
+            return t;
         }
         obs_count!("core.basepaths.cache_miss");
         // Compute outside the lock; a racing thread may duplicate the work
@@ -457,6 +517,11 @@ impl BasePathOracle for LazyBasePaths {
     ) -> R {
         with_repaired_spt(self, &self.csr, source, failures, f)
     }
+
+    fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
+        let head = self.cached(path.nodes()[from]);
+        resident_or_probed_prefix(&self.csr, head.as_deref(), path, from)
+    }
 }
 
 impl<O: BasePathOracle> BasePathOracle for &O {
@@ -479,6 +544,10 @@ impl<O: BasePathOracle> BasePathOracle for &O {
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
         (**self).with_spt_under(source, failures, f)
+    }
+
+    fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
+        (**self).longest_base_prefix(path, from)
     }
 }
 

@@ -20,14 +20,18 @@
 //! bytes to store beyond the tree's five flat arrays. All query
 //! primitives the restoration pipeline uses ([`base_dist`], [`path_to`],
 //! [`is_tree_step`] for greedy decomposition) read those arrays
-//! directly, so one resident tree answers `n − 1` pairs.
+//! directly, so one resident tree answers `n − 1` pairs. Greedy
+//! decomposition does not even need the tree resident: on a cold segment
+//! head it runs a bounded probe ([`CsrGraph::longest_tree_prefix`])
+//! that settles only the balls the answer needs, and builds nothing.
 //!
 //! [`ShardedBasePaths`] keeps the trees themselves implicit too: sources
 //! are grouped into fixed *shards* (contiguous index ranges), each shard
 //! is provisioned as one batch on the [`rbpc_graph::par`] thread pool
 //! (every worker reuses one batch-kernel scratch across its trees), and
 //! at most a budgeted number of shards stay resident behind an LRU. A
-//! query outside the resident set rebuilds its shard — bit-identical by
+//! lookup or repair outside the resident set rebuilds its shard (a
+//! decompose probe does not; see below) — bit-identical by
 //! construction, because perturbed costs make every tree canonical (see
 //! [`rbpc_graph::CostModel`]).
 //!
@@ -49,11 +53,11 @@
 //! [`is_tree_step`]: ShortestPathTree::is_tree_step
 
 use crate::basepaths::{
-    lock_unpoisoned, record_par_stats, with_repaired_spt, BasePathOracle, DenseBasePaths,
-    LazyBasePaths,
+    lock_unpoisoned, record_par_stats, resident_or_probed_prefix, with_repaired_spt,
+    BasePathOracle, DenseBasePaths, LazyBasePaths,
 };
 use rbpc_graph::{
-    par_all_sources_csr, CostModel, CsrGraph, FailureSet, Graph, NodeId, ShortestPathTree,
+    par_all_sources_csr, CostModel, CsrGraph, FailureSet, Graph, NodeId, Path, ShortestPathTree,
 };
 use rbpc_obs::{obs_count, obs_span, obs_trace};
 use std::collections::BTreeMap;
@@ -186,6 +190,13 @@ struct Shard {
     trees: Vec<ShortestPathTree>,
 }
 
+impl Shard {
+    /// The tree of `source`, which this shard covers.
+    fn tree(&self, source: NodeId) -> &ShortestPathTree {
+        &self.trees[source.index() - self.first as usize]
+    }
+}
+
 /// LRU-ordered resident shard set. `order` runs cold → hot; `map` is a
 /// `BTreeMap` (deterministic iteration, per the workspace's
 /// hash-iteration lint) keyed by shard index.
@@ -215,9 +226,13 @@ impl ShardCache {
 /// source implicitly:
 ///
 /// * `base_path(s, t)` walks `parent[]` up from `t` (materializing one
-///   transient [`Path`](rbpc_graph::Path) of `O(len)` nodes);
+///   transient [`Path`] of `O(len)` nodes);
 /// * `base_dist`/`base_cost` are single array reads;
-/// * greedy decomposition's `is_tree_step` is two array reads.
+/// * greedy decomposition's `is_tree_step` is two array reads when the
+///   segment head's shard is resident; on a cold head,
+///   `longest_base_prefix` runs a bounded probe instead
+///   ([`CsrGraph::longest_tree_prefix`]), which neither builds, inserts
+///   nor evicts a shard.
 ///
 /// Sources are grouped into shards of [`shard_size`](Self::shard_size)
 /// consecutive indices. A miss provisions the whole shard as one batch
@@ -379,20 +394,25 @@ impl ShardedBasePaths {
         }
     }
 
+    /// The resident shard covering `source`, counted as a hit and marked
+    /// most-recently-used, or `None` without building anything.
+    fn resident_shard(&self, source: NodeId) -> Option<Arc<Shard>> {
+        let key = self.shard_of(source);
+        let mut cache = lock_unpoisoned(&self.cache);
+        let shard = Arc::clone(cache.map.get(&key)?);
+        cache.touch(key);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        obs_count!("core.store.shard_hit");
+        Some(shard)
+    }
+
     /// Returns the resident shard covering `source`, provisioning (and
     /// possibly evicting) as needed.
     fn shard(&self, source: NodeId) -> Arc<Shard> {
-        let key = self.shard_of(source);
-        {
-            let mut cache = lock_unpoisoned(&self.cache);
-            if let Some(shard) = cache.map.get(&key) {
-                let shard = Arc::clone(shard);
-                cache.touch(key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs_count!("core.store.shard_hit");
-                return shard;
-            }
+        if let Some(shard) = self.resident_shard(source) {
+            return shard;
         }
+        let key = self.shard_of(source);
         self.misses.fetch_add(1, Ordering::Relaxed);
         obs_count!("core.store.shard_miss");
         let _t = obs_trace!("store.shard_build", cat: "lookup", shard = key as usize);
@@ -430,8 +450,7 @@ impl BasePathOracle for ShardedBasePaths {
     }
 
     fn with_spt<R>(&self, source: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
-        let shard = self.shard(source);
-        f(&shard.trees[source.index() - shard.first as usize])
+        f(self.shard(source).tree(source))
     }
 
     fn with_spt_under<R>(
@@ -441,6 +460,12 @@ impl BasePathOracle for ShardedBasePaths {
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
         with_repaired_spt(self, &self.csr, source, failures, f)
+    }
+
+    fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
+        let head = path.nodes()[from];
+        let shard = self.resident_shard(head);
+        resident_or_probed_prefix(&self.csr, shard.as_ref().map(|s| s.tree(head)), path, from)
     }
 }
 
@@ -610,6 +635,80 @@ mod tests {
         });
         let stats = store.stats();
         assert!(stats.resident_trees <= stats.max_resident_trees);
+    }
+
+    /// Backup paths for a spread of pairs under one or two failed edges
+    /// of their base path, each with the dense store's decomposition.
+    fn backups_with_dense_plans(
+        g: &Graph,
+        dense: &DenseBasePaths,
+    ) -> Vec<(Path, crate::Concatenation)> {
+        let mut out = Vec::new();
+        let n = g.node_count();
+        for (s, t) in (0..n)
+            .map(|i| (i, (7 * i + 13) % n))
+            .filter(|(s, t)| s != t)
+        {
+            let base = dense.base_path(s.into(), t.into()).unwrap();
+            let mut failures = FailureSet::of_edge(base.edges()[0]);
+            if base.hop_count() > 2 {
+                failures.fail_edge(base.edges()[base.hop_count() / 2]);
+            }
+            if let Some(backup) = dense.path_under(s.into(), t.into(), &failures) {
+                let plan = crate::greedy_decompose(dense, &backup);
+                out.push((backup, plan));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn probes_on_cold_heads_match_dense_and_leave_the_store_alone() {
+        for metric in [Metric::Weighted, Metric::Unweighted] {
+            let g = gnm_connected(50, 120, 12, 5);
+            let model = CostModel::new(metric, 21);
+            let dense = DenseBasePaths::build(g.clone(), model);
+            let lazy = LazyBasePaths::with_capacity(g.clone(), model, 3);
+            let sharded = ShardedBasePaths::with_budget(g.clone(), model, 8, 4, 1);
+            lazy.prefetch(&[NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
+            sharded.prefetch(&[NodeId::new(0), NodeId::new(4)]);
+            let lazy_before = (lazy.cached_trees(), lazy.evictions());
+            let sharded_before = sharded.stats();
+            for (backup, want) in backups_with_dense_plans(&g, &dense) {
+                assert_eq!(crate::greedy_decompose(&lazy, &backup), want, "lazy");
+                assert_eq!(crate::greedy_decompose(&sharded, &backup), want, "sharded");
+            }
+            assert_eq!((lazy.cached_trees(), lazy.evictions()), lazy_before);
+            let after = sharded.stats();
+            assert_eq!(after.misses, sharded_before.misses);
+            assert_eq!(after.shard_builds, sharded_before.shard_builds);
+            assert_eq!(after.evicted_trees, sharded_before.evicted_trees);
+            assert_eq!(after.resident_trees, sharded_before.resident_trees);
+            assert!(
+                after.hits > sharded_before.hits,
+                "resident heads count hits"
+            );
+        }
+    }
+
+    #[test]
+    fn probes_through_a_reference_reach_the_override() {
+        fn probe<O: BasePathOracle>(oracle: O, path: &Path) -> usize {
+            oracle.longest_base_prefix(path, 0)
+        }
+        let g = gnm_connected(40, 90, 9, 3);
+        let dense = DenseBasePaths::build(g.clone(), model());
+        let lazy = LazyBasePaths::with_capacity(g.clone(), model(), 3);
+        let sharded = ShardedBasePaths::with_budget(g, model(), 8, 4, 1);
+        let path = dense.base_path(5.into(), 33.into()).unwrap();
+        let end = path.hop_count();
+        assert_eq!(probe(&lazy, &path), end);
+        assert_eq!(probe(&sharded, &path), end);
+        assert_eq!((lazy.cached_trees(), lazy.evictions()), (0, 0));
+        assert_eq!(
+            (sharded.stats().misses, sharded.stats().shard_builds),
+            (0, 0)
+        );
     }
 
     #[test]

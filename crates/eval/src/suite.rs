@@ -1,7 +1,7 @@
 //! The evaluated networks and oracle selection.
 
 use rbpc_core::{BasePathOracle, BasePathStore, DenseBasePaths, LazyBasePaths, ShardedBasePaths};
-use rbpc_graph::{CostModel, Graph, Metric, NodeId, ShortestPathTree};
+use rbpc_graph::{CostModel, Graph, Metric, NodeId, Path, ShortestPathTree};
 use rbpc_topo::{
     as_graph_like, ba_graph_clustered, internet_like, internet_like_scaled, isp_topology,
     IspParams, INTERNET_TRIAD_PCT,
@@ -185,6 +185,16 @@ impl BasePathOracle for AnyOracle {
             AnyOracle::Sharded(o) => o.with_spt_under(source, failures, f),
         }
     }
+
+    fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
+        // Forwarded for the same reason: the lazy and sharded overrides
+        // probe a cold head instead of building its tree.
+        match self {
+            AnyOracle::Dense(o) => o.longest_base_prefix(path, from),
+            AnyOracle::Lazy(o) => o.longest_base_prefix(path, from),
+            AnyOracle::Sharded(o) => o.longest_base_prefix(path, from),
+        }
+    }
 }
 
 impl BasePathStore for AnyOracle {
@@ -285,6 +295,32 @@ mod tests {
             oracle.with_spt_under(s.into(), &failures, |spt| {
                 assert_eq!(spt, &want, "source {s}")
             });
+        }
+    }
+
+    #[test]
+    fn any_oracle_forwards_the_bounded_probe() {
+        // A probe on a cold head must reach the store's override, which
+        // builds nothing, not the trait default, which builds the head's
+        // tree (lazy) or shard (sharded).
+        let lazy_graph = standard_suite(EvalScale::Quick, 1).swap_remove(2).graph;
+        let sharded_graph =
+            rbpc_topo::gnm_connected(SHARDED_ORACLE_MIN_NODES, 2 * SHARDED_ORACLE_MIN_NODES, 5, 1);
+        for g in [lazy_graph, sharded_graph] {
+            let model = CostModel::new(Metric::Unweighted, 1);
+            let csr = rbpc_graph::CsrGraph::new(&g, &model);
+            let mut scratch = rbpc_graph::DijkstraScratch::new(0);
+            let oracle = AnyOracle::for_graph_threads(g, model, 1);
+            let (s, t) = (NodeId::new(3), NodeId::new(oracle.graph().node_count() - 1));
+            let path = csr.point_to_point(s, t, None, &mut scratch).unwrap();
+            assert_eq!(oracle.longest_base_prefix(&path, 0), path.hop_count());
+            assert!(oracle.is_base_path(&path));
+            match &oracle {
+                AnyOracle::Lazy(o) => assert_eq!(o.cached_trees(), 0),
+                AnyOracle::Sharded(o) => assert_eq!(o.stats().misses, 0),
+                AnyOracle::Dense(_) => unreachable!("both graphs exceed the dense threshold"),
+            }
+            assert_eq!(oracle.resident_trees(), 0);
         }
     }
 

@@ -660,6 +660,232 @@ impl CsrGraph {
         edges.reverse();
         Some(Path::from_parts_unchecked(nodes, edges))
     }
+
+    /// The end of the longest prefix of the path `nodes`/`edges` starting
+    /// at `from` that is a path of `nodes[from]`'s shortest-path tree: the
+    /// largest `j ≥ from` such that, for every `k` in `from..j`, the tree
+    /// parent of `nodes[k + 1]` is `nodes[k]` through `edges[k]`. Equal to
+    /// the [`ShortestPathTree::is_tree_step`] walk over
+    /// [`CsrGraph::full_tree`]`(nodes[from])`, without building the tree.
+    ///
+    /// An unmasked Dijkstra settles every node with its final tree parent,
+    /// and a tree path settles in path order (a child is at least one
+    /// padded edge weight, `≥ 2^64`, farther than its parent). So the
+    /// search checks each path node as it settles and returns at the first
+    /// mismatch or at the end of the path, touching only the ball out to
+    /// that node. A later path node that settled before its predecessor
+    /// cannot be that predecessor's child, so it ends the prefix too.
+    ///
+    /// The common answer is the whole rest of the path (the last segment
+    /// of a greedy decomposition), so that is checked first: padded costs
+    /// make shortest paths unique, so the rest is a tree path iff no path
+    /// between its ends is cheaper. A two-sided search answers that from
+    /// a ball of about half the radius around each end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is out of range, `edges` is not one shorter than
+    /// `nodes`, or `nodes[from]` is out of range.
+    pub fn longest_tree_prefix(
+        &self,
+        nodes: &[NodeId],
+        edges: &[EdgeId],
+        from: usize,
+        scratch: &mut DijkstraScratch,
+    ) -> usize {
+        assert!(from < nodes.len(), "from out of range");
+        assert_eq!(edges.len() + 1, nodes.len(), "a path has one edge per hop");
+        let s = nodes[from].index();
+        assert!(s < self.n, "source {s} out of range");
+        let last = edges.len();
+        if from == last {
+            return from;
+        }
+        if let Some(cost) = self.walk_cost(nodes, edges, from) {
+            if self.nothing_cheaper(s, nodes[last].index(), cost, scratch) {
+                return last;
+            }
+        }
+        scratch.begin(self.n);
+        let ep = scratch.epoch;
+        let ep_done = ep + 1;
+        let DijkstraScratch {
+            nodes: recs,
+            heap,
+            settled_total,
+            ..
+        } = scratch;
+        recs[s] = NodeRec {
+            dist: 0,
+            base: 0,
+            stamp: ep,
+            hops: 0,
+            parent_node: NO_NODE,
+            parent_edge: NO_EDGE,
+        };
+        heap.push(Reverse(heap_key(0, s as u32)));
+
+        // The prefix ends at `end`; `want` (path index `end + 1`) must
+        // settle next, as the child of `want_parent` through `want_edge`.
+        let mut end = from;
+        let mut want = nodes[from + 1].index();
+        let (mut want_parent, mut want_edge) = (s, edges[from].index());
+        // lint:hot: the settle loop. Matching a path node is one compare
+        // per settle; the check behind it runs once per path node.
+        while let Some(Reverse(key)) = heap.pop() {
+            let u = (key & NODE_MASK) as usize;
+            if recs[u].stamp == ep_done {
+                continue;
+            }
+            let d = recs[u].dist;
+            recs[u].stamp = ep_done;
+            *settled_total += 1;
+            if u == want {
+                if recs[u].parent_node as usize != want_parent
+                    || recs[u].parent_edge as usize != want_edge
+                {
+                    break;
+                }
+                end += 1;
+                if end == edges.len() {
+                    break;
+                }
+                want_parent = u;
+                want_edge = edges[end].index();
+                // lint:allow(hot-path) — `end < edges.len() = nodes.len() - 1`, so `end + 1` is in bounds
+                want = nodes[end + 1].index();
+                if recs[want].stamp == ep_done {
+                    break;
+                }
+            }
+            // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
+            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
+            for he in &self.half[lo..hi] {
+                let vt = he.target;
+                let rec = &mut recs[vt as usize];
+                if rec.stamp == ep_done {
+                    continue;
+                }
+                let nd = d + he.weight;
+                if rec.stamp != ep || nd < rec.dist {
+                    rec.dist = nd;
+                    rec.stamp = ep;
+                    // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
+                    rec.parent_node = u as u32;
+                    rec.parent_edge = he.edge;
+                    // lint:allow(hot-path) — the scratch heap keeps its capacity across runs; pushes are amortized alloc-free
+                    heap.push(Reverse(heap_key(nd, vt)));
+                }
+            }
+        }
+        heap.clear();
+        end
+    }
+
+    /// The padded cost of the walk `nodes[from..]` over `edges[from..]`,
+    /// or `None` if some `edges[k]` does not join `nodes[k]` to
+    /// `nodes[k + 1]`.
+    fn walk_cost(&self, nodes: &[NodeId], edges: &[EdgeId], from: usize) -> Option<u128> {
+        (from..edges.len()).try_fold(0u128, |cost, k| {
+            let (e, to) = (edges[k].index(), nodes[k + 1].index());
+            let he = self
+                .adjacency(nodes[k].index())
+                .iter()
+                .find(|he| he.edge as usize == e && he.target as usize == to)?;
+            Some(cost + he.weight)
+        })
+    }
+
+    /// Whether no `a → b` path is cheaper than `cost`, the padded cost of
+    /// a known one, by a two-sided Dijkstra from `a` and `b` that returns
+    /// `false` as soon as the sides meet below `cost`, and `true` once
+    /// every node either side has left unsettled is far enough out that
+    /// no path through it can be.
+    fn nothing_cheaper(
+        &self,
+        a: usize,
+        b: usize,
+        cost: u128,
+        scratch: &mut DijkstraScratch,
+    ) -> bool {
+        if a == b {
+            // A path of one or more edges back to its start is never a
+            // shortest path.
+            return false;
+        }
+        scratch.begin(self.n);
+        scratch.begin_back(self.n);
+        let ep = scratch.epoch;
+        let ep_done = ep + 1;
+        let DijkstraScratch {
+            nodes: fwd,
+            heap: fwd_heap,
+            back: bwd,
+            back_heap: bwd_heap,
+            settled_total,
+            ..
+        } = scratch;
+        for (recs, heap, end) in [
+            (&mut *fwd, &mut *fwd_heap, a),
+            (&mut *bwd, &mut *bwd_heap, b),
+        ] {
+            recs[end] = NodeRec {
+                dist: 0,
+                base: 0,
+                stamp: ep,
+                hops: 0,
+                parent_node: NO_NODE,
+                parent_edge: NO_EDGE,
+            };
+            heap.push(Reverse(heap_key(0, end as u32)));
+        }
+
+        // lint:hot: the two-sided settle loop. It expands the side whose
+        // frontier is nearer; `heap_key` moves a distance by less than
+        // `NODE_MASK`, so every node a side has not settled lies at least
+        // `key - NODE_MASK` from that side's end.
+        while let (Some(&Reverse(kf)), Some(&Reverse(kb))) = (fwd_heap.peek(), bwd_heap.peek()) {
+            if kf.saturating_sub(NODE_MASK) + kb.saturating_sub(NODE_MASK) >= cost {
+                break;
+            }
+            let (recs, heap, other) = if kf <= kb {
+                (&mut *fwd, &mut *fwd_heap, &*bwd)
+            } else {
+                (&mut *bwd, &mut *bwd_heap, &*fwd)
+            };
+            let Some(Reverse(key)) = heap.pop() else {
+                break;
+            };
+            let u = (key & NODE_MASK) as usize;
+            if recs[u].stamp == ep_done {
+                continue;
+            }
+            let d = recs[u].dist;
+            recs[u].stamp = ep_done;
+            *settled_total += 1;
+            // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
+            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
+            for he in &self.half[lo..hi] {
+                let vt = he.target;
+                let nd = d + he.weight;
+                let seen = &other[vt as usize];
+                if (seen.stamp == ep || seen.stamp == ep_done) && nd + seen.dist < cost {
+                    return false;
+                }
+                let rec = &mut recs[vt as usize];
+                if rec.stamp == ep_done {
+                    continue;
+                }
+                if rec.stamp != ep || nd < rec.dist {
+                    rec.dist = nd;
+                    rec.stamp = ep;
+                    // lint:allow(hot-path) — the scratch heap keeps its capacity across runs; pushes are amortized alloc-free
+                    heap.push(Reverse(heap_key(nd, vt)));
+                }
+            }
+        }
+        true
+    }
 }
 
 /// Bitset mirror of a [`FailureSet`] sized to one [`CsrGraph`]: the masked
@@ -826,6 +1052,10 @@ const EMPTY_REC: NodeRec = NodeRec {
 /// with epoch-stamped visited marks, so a fresh run only clears the heap
 /// and bumps an epoch — O(1) — instead of refilling O(n) arrays.
 ///
+/// [`CsrGraph::longest_tree_prefix`] also searches from the far end of
+/// the path; that side gets a second record array and heap, allocated on
+/// first use.
+///
 /// One scratch serves any number of runs over graphs up to its capacity
 /// (it grows on demand). Not `Sync`: use one per thread (see
 /// [`par_all_sources`](crate::par::par_all_sources)).
@@ -835,6 +1065,10 @@ pub struct DijkstraScratch {
     epoch: u32,
     nodes: Vec<NodeRec>,
     heap: BinaryHeap<Reverse<u128>>,
+    /// The backward side of a two-sided search, stamped with the same
+    /// epoch as `nodes`; empty until the first such search.
+    back: Vec<NodeRec>,
+    back_heap: BinaryHeap<Reverse<u128>>,
     runs: u64,
     settled_total: u64,
 }
@@ -851,6 +1085,8 @@ impl DijkstraScratch {
             epoch: 0,
             nodes: vec![EMPTY_REC; n],
             heap: BinaryHeap::with_capacity(n),
+            back: Vec::new(),
+            back_heap: BinaryHeap::new(),
             runs: 0,
             settled_total: 0,
         }
@@ -867,7 +1103,10 @@ impl DijkstraScratch {
         self.epoch = self.epoch.wrapping_add(2);
         if self.epoch == 0 {
             // u32 wrapped after ~2 billion runs: old stamps could collide.
-            self.nodes.iter_mut().for_each(|r| r.stamp = 0);
+            self.nodes
+                .iter_mut()
+                .chain(self.back.iter_mut())
+                .for_each(|r| r.stamp = 0);
             self.epoch = 2;
         }
         self.heap.clear();
@@ -875,6 +1114,19 @@ impl DijkstraScratch {
             self.heap.reserve(n - self.heap.len());
         }
         self.runs += 1;
+    }
+
+    /// Prepares the backward side of a two-sided search over an `n`-node
+    /// graph. Call after [`begin`](Self::begin), whose epoch both sides
+    /// share.
+    fn begin_back(&mut self, n: usize) {
+        if self.back.len() < n {
+            self.back.resize(n, EMPTY_REC);
+        }
+        self.back_heap.clear();
+        if self.back_heap.capacity() < n {
+            self.back_heap.reserve(n);
+        }
     }
 
     /// Number of runs served so far (reuses = `runs() - 1` for the first

@@ -305,3 +305,83 @@ fn csr_repair_matches_reference_rebuild() {
         },
     );
 }
+
+/// The tree-step walk: the largest `j ≥ from` such that `nodes[from..=j]`
+/// is a path of `tree`.
+fn tree_walk(tree: &ShortestPathTree, nodes: &[NodeId], edges: &[EdgeId], from: usize) -> usize {
+    let mut j = from;
+    while j + 1 < nodes.len() && tree.is_tree_step(nodes[j], edges[j], nodes[j + 1]) {
+        j += 1;
+    }
+    j
+}
+
+/// A random walk of up to 12 hops from `start`, revisits allowed.
+fn random_walk(g: &Graph, start: NodeId, rng: &mut DetRng) -> (Vec<NodeId>, Vec<EdgeId>) {
+    let (mut nodes, mut edges) = (vec![start], Vec::new());
+    for _ in 0..rng.gen_range(0..=12usize) {
+        let at = *nodes.last().unwrap();
+        let out: Vec<_> = g.neighbors(at).collect();
+        if out.is_empty() {
+            break;
+        }
+        let step = out[rng.gen_range(0..out.len())];
+        nodes.push(step.to);
+        edges.push(step.edge);
+    }
+    (nodes, edges)
+}
+
+/// The bounded probe equals the tree-step walk on the full tree of every
+/// head, on both metrics over multigraphs: for base paths (whose every
+/// suffix the two-sided check accepts), for backup paths from
+/// `repair_after_failures` (which leave the base trees wherever a
+/// failure detoured them), and for random walks (which revisit nodes).
+#[test]
+fn longest_tree_prefix_matches_tree_walk() {
+    let mut repair = RepairScratch::new();
+    for_cases(
+        "longest_tree_prefix_matches_tree_walk",
+        64,
+        |g, seed, rng| {
+            let n = g.node_count();
+            for metric in [Metric::Weighted, Metric::Unweighted] {
+                let csr = CsrGraph::new(g, &CostModel::new(metric, seed));
+                let mut scratch = DijkstraScratch::new(0);
+                let mut paths: Vec<(Vec<NodeId>, Vec<EdgeId>)> = Vec::new();
+                for _ in 0..4 {
+                    let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    let base = csr.full_tree(NodeId::new(s), &mut scratch);
+                    let mut set = FailureSet::new();
+                    for _ in 0..rng.gen_range(1..=3usize) {
+                        set.fail_edge(EdgeId::new(rng.gen_range(0..g.edge_count())));
+                    }
+                    let mut backup = base.clone();
+                    let mask = FailureMask::from_set(&csr, &set);
+                    repair_after_failures(&mut backup, &csr, &mask, &mut repair);
+                    for tree in [&base, &backup] {
+                        if let Some(p) = tree.path_to(NodeId::new(t)) {
+                            paths.push((p.nodes().to_vec(), p.edges().to_vec()));
+                        }
+                    }
+                    paths.push(random_walk(g, NodeId::new(s), rng));
+                }
+                for (nodes, edges) in &paths {
+                    for from in 0..nodes.len() {
+                        let want = tree_walk(
+                            &csr.full_tree(nodes[from], &mut scratch),
+                            nodes,
+                            edges,
+                            from,
+                        );
+                        let got = csr.longest_tree_prefix(nodes, edges, from, &mut scratch);
+                        assert_eq!(
+                            got, want,
+                            "{metric:?}, from {from} on {nodes:?} / {edges:?}"
+                        );
+                    }
+                }
+            }
+        },
+    );
+}

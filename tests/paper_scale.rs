@@ -64,7 +64,9 @@ fn reduced_internet_one_link_block() {
         samples: 40,
     };
     let oracle = case.oracle_threads(1, 2);
-    assert!(matches!(oracle, AnyOracle::Lazy(_)));
+    // 10 000 nodes is exactly `SHARDED_ORACLE_MIN_NODES`: the sharded
+    // store, so decompose probes on cold heads run the bounded probe.
+    assert!(matches!(oracle, AnyOracle::Sharded(_)));
     let pairs = sample_pairs(&case.graph, case.samples, 1);
     let row = table2_block(&case.name, &oracle, FailureClass::OneLink, &pairs, 2);
     assert!(row.events > 0);
