@@ -336,7 +336,7 @@ impl<'a, O: BasePathOracle + Sync> Restorer<'a, O> {
     /// [`Restorer::failover_plan`] on `threads` worker threads.
     ///
     /// Pairs are cut into chunks claimed through an atomic index (as in
-    /// [`rbpc_graph::par_all_sources`]); each worker restores its chunks
+    /// [`rbpc_graph::par_all_sources_csr`]); each worker restores its chunks
     /// independently and the chunk results are concatenated in input
     /// order, so the plan — updates, unrestorable list, and their order —
     /// is identical to the sequential builder for every thread count.

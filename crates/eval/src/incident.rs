@@ -311,16 +311,31 @@ impl ReplayReport {
     }
 }
 
-/// Rebuilds a [`FailureSet`] from a record's id lists.
-fn failure_set_of(record: &FlightRecord) -> FailureSet {
+/// Rebuilds a [`FailureSet`] from a record's id lists, after checking
+/// every id the record names against the rebuilt graph's `nodes` and
+/// `edges` counts (which also keeps them below `2^32`, so no id
+/// truncates).
+///
+/// # Errors
+///
+/// Names the first out-of-range id.
+fn failure_set_of(record: &FlightRecord, nodes: usize, edges: usize) -> Result<FailureSet, String> {
+    let in_range = |kind: &str, id: u64, count: usize| {
+        usize::try_from(id)
+            .ok()
+            .filter(|&i| i < count)
+            .ok_or_else(|| format!("{kind} {id} out of range (the graph has {count})"))
+    };
+    in_range("src node", record.src, nodes)?;
+    in_range("dst node", record.dst, nodes)?;
     let mut set = FailureSet::new();
     for &e in &record.failed_edges {
-        set.fail_edge(EdgeId::new(e as usize));
+        set.fail_edge(EdgeId::new(in_range("failed edge", e, edges)?));
     }
-    for &n in &record.failed_nodes {
-        set.fail_node(NodeId::new(n as usize));
+    for &v in &record.failed_nodes {
+        set.fail_node(NodeId::new(in_range("failed node", v, nodes)?));
     }
-    set
+    Ok(set)
 }
 
 /// Replays an incident: rebuilds the topology and oracle from the
@@ -345,6 +360,7 @@ pub fn replay_incident(
     threads: usize,
 ) -> Result<ReplayReport, String> {
     let (topo_name, graph) = header.topo.build()?;
+    let (nodes, edges) = (graph.node_count(), graph.edge_count());
     let oracle = AnyOracle::for_graph_threads(
         graph,
         CostModel::new(header.metric, header.seed),
@@ -382,7 +398,13 @@ pub fn replay_incident(
                 continue;
             }
         }
-        let failures = failure_set_of(rec);
+        let failures = match failure_set_of(rec, nodes, edges) {
+            Ok(failures) => failures,
+            Err(e) => {
+                report.mismatches.push(format!("{tag}: {e}"));
+                continue;
+            }
+        };
         let replayed = restorer.restore(
             NodeId::new(rec.src as usize),
             NodeId::new(rec.dst as usize),
@@ -500,18 +522,16 @@ mod tests {
         assert!(parse_incident(&trimmed).unwrap_err().contains("promises"));
     }
 
-    #[test]
-    fn replay_matches_a_real_recording() {
-        // Record a couple of real restores by hand, then replay them.
-        let h = header();
+    /// A restore record of `0 -> 20` with its first base edge failed,
+    /// recorded from a real restore.
+    fn recorded_restore(h: &IncidentHeader) -> FlightRecord {
         let (_, graph) = h.topo.build().expect("gnm builds");
         let oracle = AnyOracle::for_graph_threads(graph, CostModel::new(h.metric, h.seed), 1);
-        let restorer = Restorer::new(&oracle);
         let base = oracle
             .base_path(NodeId::new(0), NodeId::new(20))
             .expect("connected");
         let failures = FailureSet::of_edge(base.edges()[0]);
-        let r = restorer
+        let r = Restorer::new(&oracle)
             .restore(NodeId::new(0), NodeId::new(20), &failures)
             .expect("restorable");
         let mut rec = FlightRecord::new(FlightKind::Restore);
@@ -521,7 +541,13 @@ mod tests {
         rec.failed_edges = vec![base.edges()[0].index() as u64];
         rec.segments = r.concatenation.len() as u64;
         rec.plan_hash = r.plan_hash();
+        rec
+    }
 
+    #[test]
+    fn replay_matches_a_real_recording() {
+        let h = header();
+        let mut rec = recorded_restore(&h);
         let clean = replay_incident(&h, std::slice::from_ref(&rec), 1).expect("replays");
         assert_eq!((clean.replayed, clean.matched), (1, 1));
         assert!(clean.is_clean());
@@ -532,6 +558,34 @@ mod tests {
         let dirty = replay_incident(&h, std::slice::from_ref(&rec), 1).expect("replays");
         assert!(!dirty.is_clean());
         assert!(dirty.mismatches[0].contains("plan diverged"));
+    }
+
+    #[test]
+    fn replay_reports_an_out_of_range_failed_edge() {
+        let h = header();
+        let mut rec = recorded_restore(&h);
+        rec.failed_edges.push(85); // the graph has 80 edges
+        let report = replay_incident(&h, &[rec], 1).expect("replays");
+        assert_eq!((report.replayed, report.matched), (1, 0));
+        assert!(
+            report.mismatches[0].contains("failed edge 85 out of range"),
+            "{:?}",
+            report.mismatches
+        );
+    }
+
+    #[test]
+    fn replay_reports_an_endpoint_beyond_u32() {
+        let h = header();
+        let mut rec = recorded_restore(&h);
+        rec.src = 1 << 32; // truncates to node 0, whose plan was recorded
+        let report = replay_incident(&h, &[rec], 1).expect("replays");
+        assert_eq!((report.replayed, report.matched), (1, 0));
+        assert!(
+            report.mismatches[0].contains("src node 4294967296 out of range"),
+            "{:?}",
+            report.mismatches
+        );
     }
 
     #[test]

@@ -24,6 +24,14 @@
 //!   indexed 4-ary decrease-key heap for provisioning sweeps, where one
 //!   scratch serves a whole batch of sources.
 //!
+//! The scalar searches — the full tree, [`CsrGraph::point_to_point`] and
+//! greedy decomposition's probe [`CsrGraph::longest_tree_prefix`] — are
+//! one Dijkstra built from three steps on the scratch (seed a source, pop
+//! and settle the nearest node, relax its live half-edges) and differ only
+//! in when they stop. Padded costs make every source's tree unique, so a
+//! search cut short has settled each node it reached with its full-tree
+//! parent.
+//!
 //! Determinism: the perturbed costs make shortest paths unique (see
 //! [`CostModel`]), so the tree produced by [`CsrGraph::full_tree`] is
 //! **bit-identical** to [`shortest_path_tree`](crate::shortest_path_tree)
@@ -167,19 +175,6 @@ impl CsrGraph {
     #[inline]
     pub(crate) fn ends(&self, e: EdgeId) -> [u32; 2] {
         self.ends[e.index()]
-    }
-
-    /// Edge `e`'s two directions as `(from, half-edge from → to)` pairs,
-    /// found by scanning each endpoint's adjacency.
-    pub(crate) fn directions(&self, e: EdgeId) -> [(u32, &HalfEdge); 2] {
-        self.ends(e).map(|from| {
-            let he = self
-                .adjacency(from as usize)
-                .iter()
-                .find(|he| he.edge as usize == e.index())
-                .expect("invariant: every edge is stored at both of its endpoints");
-            (from, he)
-        })
     }
 
     /// Number of nodes.
@@ -442,7 +437,7 @@ impl CsrGraph {
         if mask.is_some_and(|m| m.node_failed(source)) {
             return ShortestPathTree::unreachable(source, self.n);
         }
-        // Monomorphize the hot loop per mask-ness: the unmasked copy
+        // Monomorphize the search per mask-ness: the unmasked copy
         // compiles the predicate away entirely.
         match mask {
             Some(m) => self.tree_inner(source, scratch, |e, v| m.half_edge_masked(e, v)),
@@ -450,78 +445,31 @@ impl CsrGraph {
         }
     }
 
-    /// The full-tree hot loop, generic over the half-edge mask predicate.
-    ///
-    /// Runs Dijkstra entirely inside the scratch arena — one record per
-    /// node, so a relaxation touches a single cache line instead of six
-    /// parallel arrays — then harvests the tree with one sequential pass:
-    /// each output element is written exactly once (settled value or
-    /// unreachable sentinel), no sentinel prefill, no random-order
-    /// settling.
+    /// The full-tree search, generic over the half-edge mask predicate:
+    /// settles until the heap runs dry, then harvests the tree with one
+    /// sequential pass in which each output element is written exactly
+    /// once (settled value or unreachable sentinel).
     fn tree_inner<F: Fn(u32, u32) -> bool>(
         &self,
         source: NodeId,
         scratch: &mut DijkstraScratch,
         masked: F,
     ) -> ShortestPathTree {
-        scratch.begin(self.n);
-        // Even stamp = touched this run, odd stamp = settled this run.
-        let ep = scratch.epoch;
-        let ep_done = ep + 1;
+        let ep = scratch.begin(self.n);
         let DijkstraScratch {
             nodes,
             heap,
             settled_total,
             ..
         } = scratch;
-        let s = source.index();
-        nodes[s] = NodeRec {
-            dist: 0,
-            base: 0,
-            stamp: ep,
-            hops: 0,
-            parent_node: NO_NODE,
-            parent_edge: NO_EDGE,
-        };
-        heap.push(Reverse(heap_key(0, s as u32)));
-
-        // lint:hot: the settle loop — the whole provisioning sweep lives here.
-        while let Some(Reverse(key)) = heap.pop() {
-            let u = (key & NODE_MASK) as usize;
-            if nodes[u].stamp == ep_done {
-                continue;
-            }
-            nodes[u].stamp = ep_done;
-            *settled_total += 1;
-            let (d, ub, uh) = (nodes[u].dist, nodes[u].base, nodes[u].hops);
-
-            // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
-            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for he in &self.half[lo..hi] {
-                let vt = he.target;
-                let rec = &mut nodes[vt as usize];
-                if rec.stamp == ep_done || masked(he.edge, vt) {
-                    continue;
-                }
-                let nd = d + he.weight;
-                if rec.stamp != ep || nd < rec.dist {
-                    *rec = NodeRec {
-                        dist: nd,
-                        base: ub + he.base,
-                        stamp: ep,
-                        hops: uh + 1,
-                        // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
-                        parent_node: u as u32,
-                        parent_edge: he.edge,
-                    };
-                    // lint:allow(hot-path) — the scratch heap keeps its capacity across runs; pushes are amortized alloc-free
-                    heap.push(Reverse(heap_key(nd, vt)));
-                }
-            }
+        seed(nodes, heap, source.index(), ep);
+        // lint:hot: the settle loop.
+        while let Some(u) = pop(nodes, heap, ep, settled_total) {
+            self.relax(nodes, heap, u, ep, &masked);
         }
 
-        // Harvest: after the loop every touched node is settled, so the
-        // odd stamp alone separates reached from unreachable.
+        // Every touched node is settled now, so the settled stamp alone
+        // separates reached from unreachable.
         let n = self.n;
         let mut dist = Vec::with_capacity(n);
         let mut base_dist = Vec::with_capacity(n);
@@ -529,7 +477,7 @@ impl CsrGraph {
         let mut parent_edge = Vec::with_capacity(n);
         let mut parent_node = Vec::with_capacity(n);
         for rec in &nodes[..n] {
-            if rec.stamp == ep_done {
+            if rec.stamp == ep + 1 {
                 dist.push(rec.dist);
                 base_dist.push(rec.base);
                 hops.push(rec.hops);
@@ -577,8 +525,8 @@ impl CsrGraph {
         }
     }
 
-    /// The point-to-point hot loop, generic over the half-edge mask
-    /// predicate (see [`CsrGraph::tree_into`]).
+    /// The point-to-point search, generic over the half-edge mask
+    /// predicate: the full-tree search, stopped when `t` settles.
     fn point_to_point_inner<F: Fn(u32, u32) -> bool>(
         &self,
         s: NodeId,
@@ -586,64 +534,22 @@ impl CsrGraph {
         scratch: &mut DijkstraScratch,
         masked: F,
     ) -> Option<Path> {
-        scratch.begin(self.n);
-        let ep = scratch.epoch;
-        let ep_done = ep + 1;
+        let ep = scratch.begin(self.n);
         let DijkstraScratch {
             nodes: recs,
             heap,
             settled_total,
             ..
         } = scratch;
-        let si = s.index();
-        recs[si] = NodeRec {
-            dist: 0,
-            base: 0,
-            stamp: ep,
-            hops: 0,
-            parent_node: NO_NODE,
-            parent_edge: NO_EDGE,
-        };
-        heap.push(Reverse(heap_key(0, si as u32)));
-
-        // lint:hot: the settle loop. The cold target-reached exit drops out
-        // of the region so path reconstruction can allocate freely.
-        let mut found = false;
-        while let Some(Reverse(key)) = heap.pop() {
-            let u = (key & NODE_MASK) as usize;
-            if recs[u].stamp == ep_done {
-                continue;
-            }
-            let d = recs[u].dist;
-            recs[u].stamp = ep_done;
-            *settled_total += 1;
+        seed(recs, heap, s.index(), ep);
+        // lint:hot: the settle loop. The target-reached exit leaves the
+        // region, so path reconstruction can allocate freely.
+        loop {
+            let u = pop(recs, heap, ep, settled_total)?;
             if u == t.index() {
-                found = true;
-                heap.clear();
                 break;
             }
-            // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
-            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for he in &self.half[lo..hi] {
-                let vt = he.target;
-                let rec = &mut recs[vt as usize];
-                if rec.stamp == ep_done || masked(he.edge, vt) {
-                    continue;
-                }
-                let nd = d + he.weight;
-                if rec.stamp != ep || nd < rec.dist {
-                    rec.dist = nd;
-                    rec.stamp = ep;
-                    // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
-                    rec.parent_node = u as u32;
-                    rec.parent_edge = he.edge;
-                    // lint:allow(hot-path) — the scratch heap keeps its capacity across runs; pushes are amortized alloc-free
-                    heap.push(Reverse(heap_key(nd, vt)));
-                }
-            }
-        }
-        if !found {
-            return None;
+            self.relax(recs, heap, u, ep, &masked);
         }
 
         // Walk the parent chain back from `t` (cold: runs once per query).
@@ -652,9 +558,8 @@ impl CsrGraph {
         let mut at = t.index();
         while recs[at].parent_node != NO_NODE {
             edges.push(EdgeId::new(recs[at].parent_edge as usize));
-            let pn = recs[at].parent_node as usize;
-            nodes.push(NodeId::new(pn));
-            at = pn;
+            at = recs[at].parent_node as usize;
+            nodes.push(NodeId::new(at));
         }
         nodes.reverse();
         edges.reverse();
@@ -706,24 +611,14 @@ impl CsrGraph {
                 return last;
             }
         }
-        scratch.begin(self.n);
-        let ep = scratch.epoch;
-        let ep_done = ep + 1;
+        let ep = scratch.begin(self.n);
         let DijkstraScratch {
             nodes: recs,
             heap,
             settled_total,
             ..
         } = scratch;
-        recs[s] = NodeRec {
-            dist: 0,
-            base: 0,
-            stamp: ep,
-            hops: 0,
-            parent_node: NO_NODE,
-            parent_edge: NO_EDGE,
-        };
-        heap.push(Reverse(heap_key(0, s as u32)));
+        seed(recs, heap, s, ep);
 
         // The prefix ends at `end`; `want` (path index `end + 1`) must
         // settle next, as the child of `want_parent` through `want_edge`.
@@ -732,14 +627,7 @@ impl CsrGraph {
         let (mut want_parent, mut want_edge) = (s, edges[from].index());
         // lint:hot: the settle loop. Matching a path node is one compare
         // per settle; the check behind it runs once per path node.
-        while let Some(Reverse(key)) = heap.pop() {
-            let u = (key & NODE_MASK) as usize;
-            if recs[u].stamp == ep_done {
-                continue;
-            }
-            let d = recs[u].dist;
-            recs[u].stamp = ep_done;
-            *settled_total += 1;
+        while let Some(u) = pop(recs, heap, ep, settled_total) {
             if u == want {
                 if recs[u].parent_node as usize != want_parent
                     || recs[u].parent_edge as usize != want_edge
@@ -747,38 +635,19 @@ impl CsrGraph {
                     break;
                 }
                 end += 1;
-                if end == edges.len() {
+                if end == last {
                     break;
                 }
                 want_parent = u;
                 want_edge = edges[end].index();
-                // lint:allow(hot-path) — `end < edges.len() = nodes.len() - 1`, so `end + 1` is in bounds
+                // lint:allow(hot-path) — `end < last = nodes.len() - 1`, so `end + 1` is in bounds
                 want = nodes[end + 1].index();
-                if recs[want].stamp == ep_done {
+                if recs[want].stamp == ep + 1 {
                     break;
                 }
             }
-            // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
-            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for he in &self.half[lo..hi] {
-                let vt = he.target;
-                let rec = &mut recs[vt as usize];
-                if rec.stamp == ep_done {
-                    continue;
-                }
-                let nd = d + he.weight;
-                if rec.stamp != ep || nd < rec.dist {
-                    rec.dist = nd;
-                    rec.stamp = ep;
-                    // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
-                    rec.parent_node = u as u32;
-                    rec.parent_edge = he.edge;
-                    // lint:allow(hot-path) — the scratch heap keeps its capacity across runs; pushes are amortized alloc-free
-                    heap.push(Reverse(heap_key(nd, vt)));
-                }
-            }
+            self.relax(recs, heap, u, ep, |_, _| false);
         }
-        heap.clear();
         end
     }
 
@@ -813,10 +682,8 @@ impl CsrGraph {
             // shortest path.
             return false;
         }
-        scratch.begin(self.n);
+        let ep = scratch.begin(self.n);
         scratch.begin_back(self.n);
-        let ep = scratch.epoch;
-        let ep_done = ep + 1;
         let DijkstraScratch {
             nodes: fwd,
             heap: fwd_heap,
@@ -825,20 +692,8 @@ impl CsrGraph {
             settled_total,
             ..
         } = scratch;
-        for (recs, heap, end) in [
-            (&mut *fwd, &mut *fwd_heap, a),
-            (&mut *bwd, &mut *bwd_heap, b),
-        ] {
-            recs[end] = NodeRec {
-                dist: 0,
-                base: 0,
-                stamp: ep,
-                hops: 0,
-                parent_node: NO_NODE,
-                parent_edge: NO_EDGE,
-            };
-            heap.push(Reverse(heap_key(0, end as u32)));
-        }
+        seed(fwd, fwd_heap, a, ep);
+        seed(bwd, bwd_heap, b, ep);
 
         // lint:hot: the two-sided settle loop. It expands the side whose
         // frontier is nearer; `heap_key` moves a distance by less than
@@ -853,27 +708,23 @@ impl CsrGraph {
             } else {
                 (&mut *bwd, &mut *bwd_heap, &*fwd)
             };
-            let Some(Reverse(key)) = heap.pop() else {
+            let Some(u) = pop(recs, heap, ep, settled_total) else {
                 break;
             };
-            let u = (key & NODE_MASK) as usize;
-            if recs[u].stamp == ep_done {
-                continue;
-            }
+            // Its own relax: each half-edge first checks the other side's
+            // record for a meeting below `cost`, and no parents are kept.
             let d = recs[u].dist;
-            recs[u].stamp = ep_done;
-            *settled_total += 1;
             // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
             let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
             for he in &self.half[lo..hi] {
                 let vt = he.target;
                 let nd = d + he.weight;
                 let seen = &other[vt as usize];
-                if (seen.stamp == ep || seen.stamp == ep_done) && nd + seen.dist < cost {
+                if (seen.stamp == ep || seen.stamp == ep + 1) && nd + seen.dist < cost {
                     return false;
                 }
                 let rec = &mut recs[vt as usize];
-                if rec.stamp == ep_done {
+                if rec.stamp == ep + 1 {
                     continue;
                 }
                 if rec.stamp != ep || nd < rec.dist {
@@ -886,6 +737,91 @@ impl CsrGraph {
         }
         true
     }
+
+    /// The relax step: relaxes every live half-edge out of the settled
+    /// node `u` into the nodes not yet settled this run, recording `u` as
+    /// the parent of each node it improves. `masked(edge, to)` marks a
+    /// half-edge dead.
+    // lint:hot
+    #[inline]
+    fn relax<F: Fn(u32, u32) -> bool>(
+        &self,
+        recs: &mut [NodeRec],
+        heap: &mut Heap,
+        u: usize,
+        ep: u32,
+        masked: F,
+    ) {
+        let NodeRec {
+            dist: d,
+            base: ub,
+            hops: uh,
+            ..
+        } = recs[u];
+        // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
+        let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
+        for he in &self.half[lo..hi] {
+            let vt = he.target;
+            let rec = &mut recs[vt as usize];
+            if rec.stamp == ep + 1 || masked(he.edge, vt) {
+                continue;
+            }
+            let nd = d + he.weight;
+            if rec.stamp != ep || nd < rec.dist {
+                *rec = NodeRec {
+                    dist: nd,
+                    base: ub + he.base,
+                    stamp: ep,
+                    hops: uh + 1,
+                    // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
+                    parent_node: u as u32,
+                    parent_edge: he.edge,
+                };
+                // lint:allow(hot-path) — the scratch heap keeps its capacity across runs; pushes are amortized alloc-free
+                heap.push(Reverse(heap_key(nd, vt)));
+            }
+        }
+    }
+}
+
+/// A scratch heap of node-packed keys (see [`heap_key`]), min-first.
+type Heap = BinaryHeap<Reverse<u128>>;
+
+/// The seed step: starts one side of the run stamped `ep` from `s`. The
+/// heap is emptied, so entries an early exit left behind cannot leak into
+/// this run; records left behind carry an older stamp and read as
+/// untouched.
+// lint:hot
+#[inline]
+fn seed(recs: &mut [NodeRec], heap: &mut Heap, s: usize, ep: u32) {
+    heap.clear();
+    recs[s] = NodeRec {
+        dist: 0,
+        base: 0,
+        stamp: ep,
+        hops: 0,
+        parent_node: NO_NODE,
+        parent_edge: NO_EDGE,
+    };
+    // lint:allow(hot-path) — `s < n ≤ u32::MAX` by CsrGraph construction, and the scratch heap keeps its capacity across runs
+    heap.push(Reverse(heap_key(0, s as u32)));
+}
+
+/// The pop step: pops the nearest node not yet settled in the run
+/// stamped `ep`, settles it (stamp `ep + 1`) and counts it in `settled`.
+/// `None` once the heap runs dry.
+// lint:hot
+#[inline]
+fn pop(recs: &mut [NodeRec], heap: &mut Heap, ep: u32, settled: &mut u64) -> Option<usize> {
+    while let Some(Reverse(key)) = heap.pop() {
+        let u = (key & NODE_MASK) as usize;
+        if recs[u].stamp != ep + 1 {
+            recs[u].stamp = ep + 1;
+            *settled += 1;
+            return Some(u);
+        }
+    }
+    None
 }
 
 /// Bitset mirror of a [`FailureSet`] sized to one [`CsrGraph`]: the masked
@@ -982,17 +918,6 @@ impl FailureMask {
         bit_get(&self.edges, e.index() as u32)
     }
 
-    /// Clears an edge's failure bit (the edge recovers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn restore_edge(&mut self, e: EdgeId) {
-        assert!(e.index() < self.m, "edge {e} out of range");
-        let i = e.index();
-        self.edges[i >> 6] &= !(1u64 << (i & 63));
-    }
-
     /// Ids of the explicitly failed edges, ascending.
     pub(crate) fn failed_edge_ids(&self) -> impl Iterator<Item = u32> + '_ {
         set_bits(&self.edges)
@@ -1057,8 +982,9 @@ const EMPTY_REC: NodeRec = NodeRec {
 /// first use.
 ///
 /// One scratch serves any number of runs over graphs up to its capacity
-/// (it grows on demand). Not `Sync`: use one per thread (see
-/// [`par_all_sources`](crate::par::par_all_sources)).
+/// (it grows on demand), and any mix of [`CsrGraph::full_tree_masked`],
+/// [`CsrGraph::point_to_point`] and [`CsrGraph::longest_tree_prefix`]
+/// calls. Not `Sync`: use one per thread.
 #[derive(Debug, Clone)]
 pub struct DijkstraScratch {
     /// Current run stamp, always even; steps by 2 per run.
@@ -1092,13 +1018,16 @@ impl DijkstraScratch {
         }
     }
 
-    /// Prepares for a run over an `n`-node graph: bumps the epoch (handling
-    /// wrap-around), grows buffers if needed, clears the heap. The heap's
-    /// capacity is carried across runs (and grown alongside `nodes`), so a
-    /// reused scratch never reallocates mid-sweep.
-    fn begin(&mut self, n: usize) {
+    /// Prepares for a run over an `n`-node graph and returns its stamp:
+    /// bumps the epoch (handling wrap-around), so every record of an
+    /// earlier run reads as untouched, and grows the records if needed.
+    /// The heap grows alongside them and keeps its capacity across runs,
+    /// so a reused scratch never reallocates mid-sweep; [`seed`] empties
+    /// it.
+    fn begin(&mut self, n: usize) -> u32 {
         if self.nodes.len() < n {
             self.nodes.resize(n, EMPTY_REC);
+            self.heap.reserve(n);
         }
         self.epoch = self.epoch.wrapping_add(2);
         if self.epoch == 0 {
@@ -1109,22 +1038,15 @@ impl DijkstraScratch {
                 .for_each(|r| r.stamp = 0);
             self.epoch = 2;
         }
-        self.heap.clear();
-        if self.heap.capacity() < n {
-            self.heap.reserve(n - self.heap.len());
-        }
         self.runs += 1;
+        self.epoch
     }
 
-    /// Prepares the backward side of a two-sided search over an `n`-node
-    /// graph. Call after [`begin`](Self::begin), whose epoch both sides
-    /// share.
+    /// Grows the backward side of a two-sided search to an `n`-node
+    /// graph. It shares the stamp [`begin`](Self::begin) returned.
     fn begin_back(&mut self, n: usize) {
         if self.back.len() < n {
             self.back.resize(n, EMPTY_REC);
-        }
-        self.back_heap.clear();
-        if self.back_heap.capacity() < n {
             self.back_heap.reserve(n);
         }
     }
@@ -1286,17 +1208,12 @@ mod tests {
     }
 
     #[test]
-    fn directions_name_both_endpoints() {
+    fn ends_name_both_endpoints() {
         let g = sample();
         let csr = CsrGraph::new(&g, &CostModel::new(Metric::Weighted, 17));
         for e in g.edge_ids() {
             let (u, v) = g.endpoints(e);
-            let (u, v) = (u.index() as u32, v.index() as u32);
-            assert_eq!(csr.ends(e), [u, v]);
-            let [(a, fwd), (b, back)] = csr.directions(e);
-            assert_eq!((a, fwd.target, b, back.target), (u, v, v, u));
-            assert_eq!((fwd.edge, fwd.weight), (back.edge, back.weight));
-            assert_eq!(fwd.weight, csr.model().perturbed_weight(&g, e));
+            assert_eq!(csr.ends(e), [u.index() as u32, v.index() as u32]);
         }
     }
 
@@ -1307,10 +1224,9 @@ mod tests {
             mask.fail_edge(EdgeId::new(e));
         }
         mask.fail_node(NodeId::new(129));
-        mask.restore_edge(EdgeId::new(63));
         assert_eq!(
             mask.failed_edge_ids().collect::<Vec<_>>(),
-            vec![0, 64, 127, 199]
+            vec![0, 63, 64, 127, 199]
         );
         assert_eq!(mask.failed_node_ids().collect::<Vec<_>>(), vec![129]);
     }

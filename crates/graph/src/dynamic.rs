@@ -1,25 +1,19 @@
-//! Incremental maintenance of [`ShortestPathTree`]s under failures and
-//! recoveries, in the style of Ramalingam–Reps, on the [`CsrGraph`] the
-//! rest of the restore path runs on.
+//! Incremental repair of [`ShortestPathTree`]s under failures, in the
+//! style of Ramalingam–Reps, on the [`CsrGraph`] the rest of the restore
+//! path runs on.
 //!
 //! A full Dijkstra over a failed graph costs `O((n + m) log n)` even when a
-//! failure detaches only a handful of nodes. This module updates an
-//! existing tree in place instead:
+//! failure detaches only a handful of nodes. [`repair_after_failures`]
+//! updates an existing tree in place instead: only nodes whose tree path
+//! crosses a masked edge or node can change (deletions never shorten
+//! paths). The affected subtrees are detached, re-seeded from their best
+//! live neighbors outside the region, and re-settled by a Dijkstra
+//! restricted to the region. A failed source leaves every node
+//! unreachable, as [`CsrGraph::full_tree_masked`] does. The repair reads
+//! the precomputed perturbed and base weights of the packed half-edges and
+//! tests [`FailureMask`] bits; it neither hashes nor mixes.
 //!
-//! * **Failure** ([`repair_after_failures`]): only nodes whose tree path
-//!   crosses a masked edge or node can change (deletions never shorten
-//!   paths). The affected subtrees are detached, re-seeded from their best
-//!   live neighbors outside the region, and re-settled by a Dijkstra
-//!   restricted to the region. A failed source leaves every node
-//!   unreachable, as [`CsrGraph::full_tree_masked`] does.
-//! * **Recovery** ([`repair_after_recoveries`]): a returning edge can only
-//!   shorten paths, so a decrease-only relaxation wave from its endpoints
-//!   suffices; nodes it never improves keep their entries verbatim.
-//!
-//! Both read the precomputed perturbed and base weights of the packed
-//! half-edges and test [`FailureMask`] bits; neither hashes nor mixes.
-//!
-//! Because the padded [`CostModel`] makes shortest paths
+//! Because the padded [`CostModel`](crate::CostModel) makes shortest paths
 //! unique (distinct perturbed costs ⇒ a unique optimum per node — see the
 //! crate-level discussion of infinitesimal padding), a repaired tree is
 //! **bit-identical** to the tree a full rebuild under the same mask would
@@ -31,12 +25,12 @@
 //!
 //! # Caller contract
 //!
-//! The `mask` passed to a repair is the **post-event** state. A failure
-//! repair takes a tree computed under a subset of the mask's failures
-//! (typically none: the unfailed tree); failed nodes are handled directly,
-//! and a failed node never re-attaches. A recovery repair takes the tree
-//! of the mask with the `recovered` edges still failed. Node recoveries
-//! are not expressible as a repair.
+//! The `mask` passed to a repair is the **post-event** state, and the
+//! tree was computed under a subset of the mask's failures (typically
+//! none: the unfailed tree). Failed nodes are handled directly, and a
+//! failed node never re-attaches. A recovery is handled the same way: the
+//! base-path stores repair a clone of the unfailed tree under the smaller
+//! failure set.
 //!
 //! ```
 //! use rbpc_graph::{
@@ -67,27 +61,23 @@
 
 use crate::csr::{heap_key, NODE_MASK};
 use crate::spt::NO_EDGE;
-use crate::{
-    CostModel, CsrGraph, DijkstraScratch, EdgeId, FailureMask, FailureSet, Graph, NodeId,
-    ShortestPathTree,
-};
+use crate::{CsrGraph, EdgeId, FailureMask, NodeId, ShortestPathTree};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// What one incremental repair did to the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairStats {
-    /// Nodes whose tree entry was recomputed: the detached-subtree size for
-    /// a failure (every previously reachable node when the source fails),
-    /// the number of improved nodes for a recovery. Zero means the event
-    /// did not intersect the tree at all.
+    /// Nodes whose tree entry was recomputed: the detached-subtree size
+    /// (every previously reachable node when the source fails). Zero means
+    /// the failures did not intersect the tree at all.
     pub nodes_touched: usize,
 }
 
 /// Reusable working memory for the repair engine: the children-CSR
 /// buffers, epoch-stamped affected/settled marks, and the priority queue.
 ///
-/// A churn stream repairs the same tree thousands of times; with a scratch
+/// A failure storm runs thousands of repairs; with a scratch
 /// the per-event cost drops from six O(n) allocations to an epoch bump
 /// (the children CSR is still refilled — it depends on the current tree —
 /// but into retained capacity).
@@ -287,223 +277,10 @@ pub fn repair_after_failures(
     }
 }
 
-/// Repairs `tree` in place after the edges in `recovered` came back, via
-/// a decrease-only relaxation wave from their endpoints.
-///
-/// `mask` is the post-recovery state and `tree` the tree of that state
-/// with `recovered` still failed. A recovered edge that is still masked
-/// (failed again, or an endpoint's router is failed) is skipped: it cannot
-/// carry traffic. Nodes the wave never improves keep their entries
-/// verbatim — correct because an insertion only ever shortens paths, and
-/// unique perturbed costs pin the parent of every unimproved node. A tree
-/// whose source is failed stays all-unreachable.
-///
-/// Returns the number of nodes whose entry improved.
-///
-/// # Panics
-///
-/// Panics if `tree` or `mask` was built for a different node or edge
-/// count than `csr`, or a recovered edge is out of range.
-pub fn repair_after_recoveries(
-    tree: &mut ShortestPathTree,
-    csr: &CsrGraph,
-    mask: &FailureMask,
-    recovered: &[EdgeId],
-    scratch: &mut RepairScratch,
-) -> RepairStats {
-    let n = csr.node_count();
-    assert_eq!(tree.node_count(), n, "tree/graph size mismatch");
-    mask.check_dims(n, csr.edge_count());
-    if mask.node_failed(tree.source()) {
-        return RepairStats::default();
-    }
-
-    scratch.begin(n);
-    let epoch = scratch.epoch;
-    for &e in recovered {
-        for (a, he) in csr.directions(e) {
-            let (ai, bi) = (a as usize, he.target as usize);
-            // A failed `a` is unreachable, so the distance test covers it.
-            if tree.dist[ai] == u128::MAX || mask.half_edge_masked(he.edge, he.target) {
-                continue;
-            }
-            let nd = tree.dist[ai] + he.weight;
-            if nd < tree.dist[bi] {
-                tree.settle(
-                    NodeId::new(bi),
-                    nd,
-                    tree.base_dist[ai] + he.base,
-                    tree.hops[ai] + 1,
-                    Some((NodeId::new(ai), e)),
-                );
-                scratch.heap.push(Reverse(heap_key(nd, he.target)));
-            }
-        }
-    }
-
-    // Every popped node improved; its first pop settles it for good.
-    let mut touched = 0usize;
-    while let Some(Reverse(key)) = scratch.heap.pop() {
-        let u = (key & NODE_MASK) as usize;
-        if scratch.settled[u] == epoch {
-            continue;
-        }
-        scratch.settled[u] = epoch;
-        touched += 1;
-        let d = tree.dist[u];
-        for he in csr.adjacency(u) {
-            let vi = he.target as usize;
-            if mask.half_edge_masked(he.edge, he.target) {
-                continue;
-            }
-            let nd = d + he.weight;
-            if nd < tree.dist[vi] {
-                tree.settle(
-                    NodeId::new(vi),
-                    nd,
-                    tree.base_dist[u] + he.base,
-                    tree.hops[u] + 1,
-                    Some((NodeId::new(u), EdgeId::new(he.edge as usize))),
-                );
-                scratch.heap.push(Reverse(heap_key(nd, he.target)));
-            }
-        }
-    }
-    RepairStats {
-        nodes_touched: touched,
-    }
-}
-
-/// A shortest-path tree kept current across a stream of edge failures and
-/// recoveries — the stateful convenience wrapper over
-/// [`repair_after_failures`] / [`repair_after_recoveries`].
-///
-/// Owns a [`CsrGraph`] of the graph, its [`FailureSet`], and the matching
-/// [`FailureMask`], so callers only announce events. Node failures are
-/// not part of this API; `rbpc_core`'s base-path stores repair under
-/// whole failure sets, nodes included.
-///
-/// ```
-/// use rbpc_graph::{CostModel, CsrGraph, DijkstraScratch, DynamicSpt, Graph, Metric};
-/// # fn main() -> Result<(), rbpc_graph::GraphError> {
-/// let mut g = Graph::new(3);
-/// let ab = g.add_edge(0, 1, 1)?;
-/// g.add_edge(1, 2, 1)?;
-/// g.add_edge(0, 2, 5)?;
-/// let model = CostModel::new(Metric::Weighted, 3);
-/// let mut spt = DynamicSpt::new(&g, &model, 0.into());
-/// assert_eq!(spt.tree().base_dist(2.into()), Some(2));
-/// spt.fail_edge(ab);
-/// assert_eq!(spt.tree().base_dist(2.into()), Some(5));
-/// spt.recover_edge(ab);
-/// let csr = CsrGraph::new(&g, &model);
-/// assert_eq!(spt.tree(), &csr.full_tree(0.into(), &mut DijkstraScratch::new(3)));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct DynamicSpt<'g> {
-    graph: &'g Graph,
-    csr: CsrGraph,
-    failures: FailureSet,
-    mask: FailureMask,
-    tree: ShortestPathTree,
-    scratch: RepairScratch,
-}
-
-impl<'g> DynamicSpt<'g> {
-    /// Builds the initial tree over the unfailed graph.
-    pub fn new(graph: &'g Graph, model: &CostModel, source: NodeId) -> Self {
-        Self::with_failures(graph, model, source, FailureSet::new())
-    }
-
-    /// Builds the initial tree over `graph` with `failures` already in
-    /// effect (one full Dijkstra; subsequent events are incremental).
-    pub fn with_failures(
-        graph: &'g Graph,
-        model: &CostModel,
-        source: NodeId,
-        failures: FailureSet,
-    ) -> Self {
-        let csr = CsrGraph::new(graph, model);
-        let mask = FailureMask::from_set(&csr, &failures);
-        let mut dijkstra = DijkstraScratch::new(csr.node_count());
-        let tree = csr.full_tree_masked(source, Some(&mask), &mut dijkstra);
-        DynamicSpt {
-            graph,
-            csr,
-            failures,
-            mask,
-            tree,
-            scratch: RepairScratch::new(),
-        }
-    }
-
-    /// Incremental repairs served so far by the internal scratch arena
-    /// (no-op events are not counted).
-    #[inline]
-    pub fn repairs_served(&self) -> u64 {
-        self.scratch.runs()
-    }
-
-    /// The underlying graph.
-    #[inline]
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// The cost model the tree is canonical under.
-    #[inline]
-    pub fn cost_model(&self) -> &CostModel {
-        self.csr.model()
-    }
-
-    /// The current tree — always bit-identical to a fresh full tree under
-    /// [`failures()`](Self::failures).
-    #[inline]
-    pub fn tree(&self) -> &ShortestPathTree {
-        &self.tree
-    }
-
-    /// The failure state the tree currently reflects.
-    #[inline]
-    pub fn failures(&self) -> &FailureSet {
-        &self.failures
-    }
-
-    /// Marks `e` failed and repairs the tree. Failing an already-failed
-    /// edge is a no-op.
-    pub fn fail_edge(&mut self, e: EdgeId) -> RepairStats {
-        if self.failures.edge_failed(e) {
-            return RepairStats::default();
-        }
-        self.failures.fail_edge(e);
-        self.mask.fail_edge(e);
-        repair_after_failures(&mut self.tree, &self.csr, &self.mask, &mut self.scratch)
-    }
-
-    /// Clears `e` from the failure set and repairs the tree. Recovering an
-    /// edge that was not failed is a no-op.
-    pub fn recover_edge(&mut self, e: EdgeId) -> RepairStats {
-        if !self.failures.edge_failed(e) {
-            return RepairStats::default();
-        }
-        self.failures.restore_edge(e);
-        self.mask.restore_edge(e);
-        repair_after_recoveries(
-            &mut self.tree,
-            &self.csr,
-            &self.mask,
-            &[e],
-            &mut self.scratch,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{shortest_path_tree, DetRng, Metric};
+    use crate::{shortest_path_tree, CostModel, DetRng, FailureSet, Graph, Metric};
 
     fn model() -> CostModel {
         CostModel::new(Metric::Weighted, 17)
@@ -610,45 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_matches_rebuild_everywhere() {
-        let g = sample();
-        let m = model();
-        let csr = CsrGraph::new(&g, &m);
-        let clear = FailureMask::new(csr.node_count(), csr.edge_count());
-        let mut scratch = RepairScratch::new();
-        for s in g.nodes() {
-            for e in g.edge_ids() {
-                // Start from the failed tree, then recover e.
-                let mut tree = shortest_path_tree(&FailureSet::of_edge(e).view(&g), &m, s);
-                repair_after_recoveries(&mut tree, &csr, &clear, &[e], &mut scratch);
-                assert_eq!(
-                    tree,
-                    shortest_path_tree(&g, &m, s),
-                    "source {s}, recovered edge {e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn recovery_behind_a_failed_router_changes_nothing() {
-        let g = sample();
-        let m = model();
-        let csr = CsrGraph::new(&g, &m);
-        let e34 = g.find_edge(3.into(), 4.into()).unwrap();
-        let mut failures = FailureSet::of_nodes([4usize]);
-        failures.fail_edge(e34);
-        let mut tree = shortest_path_tree(&failures.view(&g), &m, 0.into());
-        let before = tree.clone();
-        failures.restore_edge(e34);
-        let mask = FailureMask::from_set(&csr, &failures);
-        let stats =
-            repair_after_recoveries(&mut tree, &csr, &mask, &[e34], &mut RepairScratch::new());
-        assert_eq!(stats.nodes_touched, 0);
-        assert_eq!(tree, before);
-    }
-
-    #[test]
     fn parallel_edge_failure_falls_back_to_twin() {
         let mut g = Graph::new(2);
         let cheap = g.add_edge(0, 1, 1).unwrap();
@@ -731,26 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_spt_tracks_random_churn() {
-        for seed in 0..4u64 {
-            let g = random_graph(30, 70, seed);
-            let m = CostModel::new(Metric::Weighted, seed + 1);
-            let mut spt = DynamicSpt::new(&g, &m, 0.into());
-            let mut rng = DetRng::seed_from_u64(seed ^ 0x5EED);
-            for step in 0..60 {
-                let e = EdgeId::new(rng.gen_range(0..g.edge_count()));
-                if spt.failures().edge_failed(e) {
-                    spt.recover_edge(e);
-                } else {
-                    spt.fail_edge(e);
-                }
-                let rebuilt = shortest_path_tree(&spt.failures().view(&g), &m, 0.into());
-                assert_eq!(spt.tree(), &rebuilt, "seed {seed}, step {step}");
-            }
-        }
-    }
-
-    #[test]
     fn shared_scratch_matches_fresh_scratch() {
         // One scratch across many repairs (and across graphs of different
         // sizes) must behave exactly like fresh allocations each time.
@@ -759,58 +477,14 @@ mod tests {
             let g = random_graph(20 + 5 * seed as usize, 60, seed);
             let m = CostModel::new(Metric::Weighted, seed);
             let csr = CsrGraph::new(&g, &m);
-            let clear = FailureMask::new(csr.node_count(), csr.edge_count());
             for e in g.edge_ids().step_by(7) {
                 let failures = FailureSet::of_edge(e);
                 let mask = FailureMask::from_set(&csr, &failures);
                 let mut tree = shortest_path_tree(&g, &m, 0.into());
                 repair_after_failures(&mut tree, &csr, &mask, &mut scratch);
                 assert_eq!(tree, shortest_path_tree(&failures.view(&g), &m, 0.into()));
-                repair_after_recoveries(&mut tree, &csr, &clear, &[e], &mut scratch);
-                assert_eq!(tree, shortest_path_tree(&g, &m, 0.into()));
             }
         }
         assert!(scratch.runs() > 4);
-    }
-
-    #[test]
-    fn dynamic_spt_counts_repairs() {
-        let g = sample();
-        let m = model();
-        let e = g.find_edge(0.into(), 2.into()).unwrap();
-        let mut spt = DynamicSpt::new(&g, &m, 0.into());
-        assert_eq!(spt.repairs_served(), 0);
-        spt.fail_edge(e);
-        spt.recover_edge(e);
-        assert_eq!(spt.repairs_served(), 2);
-    }
-
-    #[test]
-    fn redundant_events_are_noops() {
-        let g = sample();
-        let m = model();
-        let e = g.find_edge(0.into(), 2.into()).unwrap();
-        let mut spt = DynamicSpt::new(&g, &m, 0.into());
-        assert_eq!(spt.recover_edge(e).nodes_touched, 0); // not failed
-        let first = spt.fail_edge(e);
-        assert!(first.nodes_touched > 0);
-        assert_eq!(spt.fail_edge(e).nodes_touched, 0); // already failed
-        let back = spt.recover_edge(e);
-        assert_eq!(back.nodes_touched, first.nodes_touched);
-        assert_eq!(spt.tree(), &shortest_path_tree(&g, &m, 0.into()));
-    }
-
-    #[test]
-    fn with_failures_starts_from_failed_state() {
-        let g = sample();
-        let m = model();
-        let e = g.find_edge(0.into(), 2.into()).unwrap();
-        let mut spt = DynamicSpt::with_failures(&g, &m, 0.into(), FailureSet::of_edge(e));
-        assert_eq!(
-            spt.tree(),
-            &shortest_path_tree(&FailureSet::of_edge(e).view(&g), &m, 0.into())
-        );
-        spt.recover_edge(e);
-        assert_eq!(spt.tree(), &shortest_path_tree(&g, &m, 0.into()));
     }
 }

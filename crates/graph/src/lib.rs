@@ -78,9 +78,7 @@ pub use csr::{CsrGraph, DijkstraScratch, FailureMask, SptBatchScratch};
 pub use cuts::{cut_elements, CutElements};
 pub use digraph::{ArcId, ArcRecord, DiGraph};
 pub use dijkstra::{distance, shortest_path, shortest_path_avoiding, shortest_path_tree};
-pub use dynamic::{
-    repair_after_failures, repair_after_recoveries, DynamicSpt, RepairScratch, RepairStats,
-};
+pub use dynamic::{repair_after_failures, RepairScratch, RepairStats};
 pub use error::{GraphError, PathError};
 pub use graph::{DegreeStats, EdgeRecord, Graph, HalfEdge};
 pub use ids::{EdgeId, NodeId};

@@ -5,9 +5,9 @@
 
 use rbpc_graph::{
     bfs_distances, count_shortest_paths, cut_elements, distance, k_shortest_paths,
-    repair_after_failures, repair_after_recoveries, shortest_path, shortest_path_tree, CostModel,
-    CsrGraph, DetRng, DijkstraScratch, EdgeId, FailureMask, FailureSet, Graph, Metric, NodeId,
-    RepairScratch, ShortestPathTree,
+    repair_after_failures, shortest_path, shortest_path_tree, CostModel, CsrGraph, DetRng,
+    DijkstraScratch, EdgeId, FailureMask, FailureSet, Graph, Metric, NodeId, RepairScratch,
+    ShortestPathTree,
 };
 
 /// Random multigraph with `nodes` nodes: a spine of `spine_weight` edges
@@ -258,8 +258,7 @@ fn interior_node(tree: &ShortestPathTree, rng: &mut DetRng) -> Option<NodeId> {
 /// failures, and a failed source: every repaired tree equals the reference
 /// rebuild over the failed view and passes `CsrGraph::validate_tree`. The
 /// failures arrive in two steps (edges, then edges plus a node), so the
-/// second repair starts from an already-repaired tree; the edges then
-/// recover one at a time.
+/// second repair starts from an already-repaired tree.
 #[test]
 fn csr_repair_matches_reference_rebuild() {
     let mut scratch = RepairScratch::new();
@@ -285,13 +284,6 @@ fn csr_repair_matches_reference_rebuild() {
                     set.fail_node(v);
                     mask.fail_node(v);
                     repair_after_failures(&mut tree, &csr, &mask, &mut scratch);
-                    assert_repair_exact(g, &csr, &tree, &set);
-                }
-                let edges: Vec<EdgeId> = set.failed_edges().collect();
-                for e in edges {
-                    set.restore_edge(e);
-                    mask.restore_edge(e);
-                    repair_after_recoveries(&mut tree, &csr, &mask, &[e], &mut scratch);
                     assert_repair_exact(g, &csr, &tree, &set);
                 }
 
@@ -379,6 +371,81 @@ fn longest_tree_prefix_matches_tree_walk() {
                             got, want,
                             "{metric:?}, from {from} on {nodes:?} / {edges:?}"
                         );
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// A random failure set for searches from `s`: up to three edges, and
+/// half the time one node other than `s`.
+fn random_failures(g: &Graph, s: NodeId, rng: &mut DetRng) -> FailureSet {
+    let mut set = FailureSet::new();
+    for _ in 0..rng.gen_range(0..=3usize) {
+        set.fail_edge(EdgeId::new(rng.gen_range(0..g.edge_count())));
+    }
+    let v = NodeId::new(rng.gen_range(0..g.node_count()));
+    if v != s && rng.gen_bool(0.5) {
+        set.fail_node(v);
+    }
+    set
+}
+
+/// The three scalar searches share one seed/pop/relax loop and one
+/// scratch: interleaved in random order on a single `DijkstraScratch`,
+/// the full tree equals the reference tree over the `FailureView`,
+/// point-to-point equals that tree's path (`None` included), and the
+/// bounded probe equals the tree-step walk over the unmasked tree. The
+/// point-to-point search and the probe stop early and leave heap entries
+/// and touched records behind; none of them may leak into the next search.
+#[test]
+fn scalar_searches_interleave_on_one_scratch() {
+    for_cases(
+        "scalar_searches_interleave_on_one_scratch",
+        64,
+        |g, seed, rng| {
+            let n = g.node_count();
+            let mut scratch = DijkstraScratch::new(0);
+            for metric in [Metric::Weighted, Metric::Unweighted] {
+                let model = CostModel::new(metric, seed);
+                let csr = CsrGraph::new(g, &model);
+                for _ in 0..24 {
+                    let s = NodeId::new(rng.gen_range(0..n));
+                    let set = random_failures(g, s, rng);
+                    let mask = FailureMask::from_set(&csr, &set);
+                    // An empty set runs the unmasked searches.
+                    let mask = (!set.is_empty()).then_some(&mask);
+                    let tree = shortest_path_tree(&set.view(g), &model, s);
+                    let t = NodeId::new(rng.gen_range(0..n));
+                    match rng.gen_range(0..3usize) {
+                        0 => assert_eq!(
+                            csr.full_tree_masked(s, mask, &mut scratch),
+                            tree,
+                            "{metric:?}, full tree from {s} under {set:?}"
+                        ),
+                        1 => assert_eq!(
+                            csr.point_to_point(s, t, mask, &mut scratch),
+                            tree.path_to(t),
+                            "{metric:?}, {s} -> {t} under {set:?}"
+                        ),
+                        _ => {
+                            // A backup path (it leaves the base trees where
+                            // a failure detoured it) or a random walk.
+                            let (nodes, edges) = match tree.path_to(t) {
+                                Some(p) if rng.gen_bool(0.5) => {
+                                    (p.nodes().to_vec(), p.edges().to_vec())
+                                }
+                                _ => random_walk(g, s, rng),
+                            };
+                            let from = rng.gen_range(0..nodes.len());
+                            let head = shortest_path_tree(g, &model, nodes[from]);
+                            assert_eq!(
+                                csr.longest_tree_prefix(&nodes, &edges, from, &mut scratch),
+                                tree_walk(&head, &nodes, &edges, from),
+                                "{metric:?}, from {from} on {nodes:?} / {edges:?}"
+                            );
+                        }
                     }
                 }
             }

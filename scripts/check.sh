@@ -67,7 +67,7 @@ cargo test --release --test csr_parallel -q
 echo "== batched SPT kernel property test (release: bit-identical to scalar across masks/batches/threads)"
 cargo test --release --test spt_batch -q
 
-echo "== CSR repair property test (release: repaired trees bit-identical to rebuilds under churn)"
+echo "== SPT repair property test (release: after each churn event, the base tree repaired under the failure set as the stores do is bit-identical to a rebuild)"
 cargo test --release --test spt_repair -q
 
 echo "== sharded-store property test (release: bit-identical to dense at 1/2/8 threads)"
