@@ -23,6 +23,15 @@
 //! ([`repair_after_failures`]), failed source routers included, so the
 //! restore path has one graph representation.
 //!
+//! A restore needs only one path from the failed graph: the post-failure
+//! shortest `s → t` path (`path_under`). The lazy and sharded stores
+//! answer it with one two-sided search on their `CsrGraph`
+//! ([`CsrGraph::point_to_point`] under a [`FailureMask`]), which settles
+//! a ball of about half the radius around each end, needs no tree, and
+//! never touches residency. Padded costs make that path unique, so it is
+//! the path the repaired tree holds. Only the dense store still answers
+//! `path_under` by repairing a cloned tree.
+//!
 //! Greedy decomposition asks one question per segment head `path[i]`:
 //! how far does the path follow `path[i]`'s tree? The dense store walks
 //! the resident tree (two array reads per hop). The lazy and sharded
@@ -119,6 +128,36 @@ pub(crate) fn with_repaired_spt<O: BasePathOracle, R>(
     })
 }
 
+thread_local! {
+    /// One search scratch per thread, shared by the decompose probe and
+    /// the searched `path_under`, so a thread holds one pair of search
+    /// arenas however it mixes the two.
+    static SEARCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new(0));
+}
+
+/// The lazy and sharded stores' `path_under`: one two-sided search on
+/// `csr` under `failures` ([`CsrGraph::point_to_point`]) instead of a
+/// repaired clone of `s`'s tree. It needs no tree, so it builds, caches
+/// and evicts nothing and counts no hit or miss. Padded costs make the
+/// cheapest path unique, so it is the path the repaired tree holds.
+pub(crate) fn searched_path(
+    csr: &CsrGraph,
+    s: NodeId,
+    t: NodeId,
+    failures: &FailureSet,
+) -> Option<Path> {
+    let mask = (!failures.is_empty()).then(|| FailureMask::from_set(csr, failures));
+    let _t = obs_trace!("spt.search", cat: "lookup", source = s.index());
+    let _span = obs_span!("spt.search.ns");
+    SEARCH.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        let before = scratch.settled_total();
+        let path = csr.point_to_point(s, t, mask.as_ref(), scratch);
+        obs_record!("spt.search.settled", scratch.settled_total() - before);
+        path
+    })
+}
+
 /// The stores' `longest_base_prefix`: walks `resident`, the tree of
 /// `path.nodes()[from]` when the store holds it, and otherwise answers
 /// with one bounded probe on `csr` ([`CsrGraph::longest_tree_prefix`]),
@@ -131,14 +170,11 @@ pub(crate) fn resident_or_probed_prefix(
     path: &Path,
     from: usize,
 ) -> usize {
-    thread_local! {
-        static PROBE: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new(0));
-    }
     if let Some(spt) = resident {
         return tree_prefix(spt, path, from);
     }
     obs_count!("core.decompose.bounded_probe");
-    PROBE.with(|s| {
+    SEARCH.with(|s| {
         let scratch = &mut *s.borrow_mut();
         let before = scratch.settled_total();
         let j = csr.longest_tree_prefix(path.nodes(), path.edges(), from, scratch);
@@ -189,7 +225,10 @@ pub trait BasePathOracle {
     /// store overrides it to *repair* its resident unfailed tree
     /// (`spt.repair.ns` / `spt.repair.nodes_touched`), which yields a
     /// bit-identical tree because padded costs make shortest paths unique
-    /// — see [`rbpc_graph::repair_after_failures`].
+    /// — see [`rbpc_graph::repair_after_failures`]. A caller that needs
+    /// one path, not the whole tree, should ask
+    /// [`path_under`](BasePathOracle::path_under), which the lazy and
+    /// sharded stores answer without a tree.
     ///
     /// # Panics
     ///
@@ -217,7 +256,17 @@ pub trait BasePathOracle {
     }
 
     /// The canonical shortest path from `s` to `t` over the failed view,
-    /// or `None` if the failures disconnect the pair.
+    /// or `None` if the failures disconnect the pair or take out an
+    /// endpoint.
+    ///
+    /// The default walks `t`'s path in
+    /// [`with_spt_under`](BasePathOracle::with_spt_under)'s tree, which
+    /// the dense store repairs from a clone of its resident tree. The lazy
+    /// and sharded stores override it with one two-sided search on their
+    /// [`CsrGraph`] ([`CsrGraph::point_to_point`], span `spt.search.ns`,
+    /// histogram `spt.search.settled`): it builds, caches and evicts no
+    /// tree, and returns the same path because padded costs make it
+    /// unique.
     fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
         self.with_spt_under(s, failures, |spt| spt.path_to(t))
     }
@@ -518,6 +567,10 @@ impl BasePathOracle for LazyBasePaths {
         with_repaired_spt(self, &self.csr, source, failures, f)
     }
 
+    fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
+        searched_path(&self.csr, s, t, failures)
+    }
+
     fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
         let head = self.cached(path.nodes()[from]);
         resident_or_probed_prefix(&self.csr, head.as_deref(), path, from)
@@ -544,6 +597,10 @@ impl<O: BasePathOracle> BasePathOracle for &O {
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
         (**self).with_spt_under(source, failures, f)
+    }
+
+    fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
+        (**self).path_under(s, t, failures)
     }
 
     fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {

@@ -90,8 +90,8 @@ pub fn end_route<O: BasePathOracle>(
         k_failures = failures.failed_edge_count(),
     );
     let detour = {
-        // Repair r1's cached tree rather than re-running Dijkstra over the
-        // failed view (see `BasePathOracle::with_spt_under`).
+        // The store's post-failure path, not a Dijkstra over the failed
+        // view from scratch (see `BasePathOracle::path_under`).
         let _t = obs_trace!("detour.search", cat: "lookup");
         oracle
             .path_under(r1, dest, failures)

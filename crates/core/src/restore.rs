@@ -240,8 +240,9 @@ impl<'a, O: BasePathOracle> Restorer<'a, O> {
         };
         let affected = !path_survives(&original, failures);
         let backup = if affected {
-            // Repair the source's cached tree instead of running Dijkstra
-            // over the failed view from scratch (see `with_spt_under`).
+            // The store's post-failure path: a two-sided search (lazy,
+            // sharded) or its repaired cached tree (dense), never a
+            // Dijkstra over the failed view from scratch (see `path_under`).
             let _t = obs_trace!("backup.search", cat: "lookup");
             self.oracle
                 .path_under(s, t, failures)

@@ -30,8 +30,8 @@
 //! is provisioned as one batch on the [`rbpc_graph::par`] thread pool
 //! (every worker reuses one batch-kernel scratch across its trees), and
 //! at most a budgeted number of shards stay resident behind an LRU. A
-//! lookup or repair outside the resident set rebuilds its shard (a
-//! decompose probe does not; see below) — bit-identical by
+//! lookup or repaired tree outside the resident set rebuilds its shard
+//! (a decompose probe and `path_under` do not; see below) — bit-identical by
 //! construction, because perturbed costs make every tree canonical (see
 //! [`rbpc_graph::CostModel`]).
 //!
@@ -39,10 +39,14 @@
 //!
 //! All three shapes own one [`CsrGraph`] and build every tree on its
 //! batched kernel: the dense build, lazy misses and lazy prefetches, and
-//! shard builds. Under failures all three repair a clone of the resident
-//! unfailed tree on that same `CsrGraph` through one shared helper; a
-//! failed source router is handled inside the repair, so no shape falls
-//! back to a rebuild.
+//! shard builds. A restore's post-failure path (`path_under`) comes from
+//! one two-sided search on that same `CsrGraph` in the lazy and sharded
+//! shapes ([`CsrGraph::point_to_point`] under a failure mask), so it
+//! neither reads nor builds a shard; only the dense shape repairs a
+//! cloned tree for it. A caller that wants the whole tree under failures
+//! (`with_spt_under`) gets a repaired clone of the resident unfailed tree
+//! from every shape, through one shared helper; a failed source router is
+//! handled inside the repair, so no shape falls back to a rebuild.
 //!
 //! The [`BasePathStore`] trait exposes the residency/budget surface on
 //! every oracle, so `Restorer`, decomposition, and the sim/eval layers
@@ -53,7 +57,7 @@
 //! [`is_tree_step`]: ShortestPathTree::is_tree_step
 
 use crate::basepaths::{
-    lock_unpoisoned, record_par_stats, resident_or_probed_prefix, with_repaired_spt,
+    lock_unpoisoned, record_par_stats, resident_or_probed_prefix, searched_path, with_repaired_spt,
     BasePathOracle, DenseBasePaths, LazyBasePaths,
 };
 use rbpc_graph::{
@@ -460,6 +464,10 @@ impl BasePathOracle for ShardedBasePaths {
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
         with_repaired_spt(self, &self.csr, source, failures, f)
+    }
+
+    fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
+        searched_path(&self.csr, s, t, failures)
     }
 
     fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {

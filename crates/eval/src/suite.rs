@@ -186,6 +186,16 @@ impl BasePathOracle for AnyOracle {
         }
     }
 
+    fn path_under(&self, s: NodeId, t: NodeId, failures: &rbpc_graph::FailureSet) -> Option<Path> {
+        // Forwarded so the lazy and sharded variants keep their two-sided
+        // search instead of the default's repaired tree.
+        match self {
+            AnyOracle::Dense(o) => o.path_under(s, t, failures),
+            AnyOracle::Lazy(o) => o.path_under(s, t, failures),
+            AnyOracle::Sharded(o) => o.path_under(s, t, failures),
+        }
+    }
+
     fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
         // Forwarded for the same reason: the lazy and sharded overrides
         // probe a cold head instead of building its tree.
@@ -295,6 +305,48 @@ mod tests {
             oracle.with_spt_under(s.into(), &failures, |spt| {
                 assert_eq!(spt, &want, "source {s}")
             });
+        }
+    }
+
+    #[test]
+    fn any_oracle_forwards_the_searched_path_under() {
+        // Every variant must match the rebuilt tree's path, and the lazy
+        // and sharded variants must reach their two-sided search, which
+        // leaves a cold store cold, not the trait default, which builds
+        // the source's tree (lazy) or shard (sharded) to repair it.
+        for metric in [Metric::Weighted, Metric::Unweighted] {
+            let g = rbpc_topo::gnm_connected(40, 90, 9, 7);
+            let model = CostModel::new(metric, 3);
+            let variants = [
+                AnyOracle::Dense(DenseBasePaths::build(g.clone(), model)),
+                AnyOracle::Lazy(LazyBasePaths::with_capacity(g.clone(), model, 2)),
+                AnyOracle::Sharded(ShardedBasePaths::with_budget(g.clone(), model, 4, 2, 1)),
+            ];
+            let mut rng = rbpc_graph::DetRng::seed_from_u64(5);
+            for _ in 0..60 {
+                let (s, t) = (
+                    NodeId::new(rng.gen_range(0..40usize)),
+                    NodeId::new(rng.gen_range(0..40usize)),
+                );
+                let mut failures = rbpc_graph::FailureSet::new();
+                for _ in 0..rng.gen_range(0..=3usize) {
+                    failures.fail_edge(rbpc_graph::EdgeId::new(rng.gen_range(0..g.edge_count())));
+                }
+                if rng.gen_bool(0.2) {
+                    failures.fail_node(NodeId::new(rng.gen_range(0..40usize)));
+                }
+                let want = rbpc_graph::shortest_path_tree(&failures.view(&g), &model, s).path_to(t);
+                for oracle in &variants {
+                    assert_eq!(oracle.path_under(s, t, &failures), want, "{s} -> {t}");
+                }
+            }
+            let [_, lazy, sharded] = &variants;
+            assert_eq!(lazy.resident_trees(), 0);
+            assert_eq!(sharded.resident_trees(), 0);
+            let AnyOracle::Sharded(o) = sharded else {
+                unreachable!("built as sharded")
+            };
+            assert_eq!((o.stats().misses, o.stats().shard_builds), (0, 0));
         }
     }
 

@@ -28,9 +28,13 @@
 //! greedy decomposition's probe [`CsrGraph::longest_tree_prefix`] — are
 //! one Dijkstra built from three steps on the scratch (seed a source, pop
 //! and settle the nearest node, relax its live half-edges) and differ only
-//! in when they stop. Padded costs make every source's tree unique, so a
-//! search cut short has settled each node it reached with its full-tree
-//! parent.
+//! in where they start and when they stop. The full tree and the probe's
+//! fallback search from one end; `point_to_point` and the probe's first
+//! check run the same steps from both ends at once and stop when the two
+//! frontiers are farther apart than the cheapest meeting. Padded costs
+//! make every shortest path unique, so a search cut short has settled each
+//! node it reached with its full-tree parent, and a two-sided search finds
+//! exactly the tree path.
 //!
 //! Determinism: the perturbed costs make shortest paths unique (see
 //! [`CostModel`]), so the tree produced by [`CsrGraph::full_tree`] is
@@ -465,7 +469,7 @@ impl CsrGraph {
         seed(nodes, heap, source.index(), ep);
         // lint:hot: the settle loop.
         while let Some(u) = pop(nodes, heap, ep, settled_total) {
-            self.relax(nodes, heap, u, ep, &masked);
+            self.relax(nodes, heap, u, ep, &masked, |_, _| {});
         }
 
         // Every touched node is settled now, so the settled stamp alone
@@ -494,13 +498,22 @@ impl CsrGraph {
         ShortestPathTree::from_arrays(source, dist, base_dist, hops, parent_edge, parent_node)
     }
 
-    /// Single-pair shortest path with early exit once `t` settles, reusing
-    /// `scratch`. Returns the same unique path as
-    /// [`shortest_path`](crate::shortest_path), or `None` if disconnected.
+    /// Single-pair shortest path under an optional failure mask, reusing
+    /// `scratch`: the same unique path as
+    /// [`shortest_path`](crate::shortest_path), i.e. `t`'s path in `s`'s
+    /// tree, or `None` if an endpoint failed or the pair is disconnected.
+    ///
+    /// One two-sided search answers it: Dijkstra from `s` and from `t` at
+    /// once, stopped when the two frontiers are farther apart than the
+    /// cheapest path between them found so far. That settles a ball of
+    /// about half the radius around each end, rather than the ball around
+    /// `s` that reaches `t`. Padded costs make the cheapest `s → t` path
+    /// unique, so it is exactly the path the full tree would hold.
     ///
     /// # Panics
     ///
-    /// Panics if `s` or `t` is out of range.
+    /// Panics if `s` or `t` is out of range, or `mask` was built for
+    /// different graph dimensions.
     pub fn point_to_point(
         &self,
         s: NodeId,
@@ -519,51 +532,12 @@ impl CsrGraph {
         if s == t {
             return Some(Path::trivial(s));
         }
-        match mask {
-            Some(m) => self.point_to_point_inner(s, t, scratch, |e, v| m.half_edge_masked(e, v)),
-            None => self.point_to_point_inner(s, t, scratch, |_, _| false),
-        }
-    }
-
-    /// The point-to-point search, generic over the half-edge mask
-    /// predicate: the full-tree search, stopped when `t` settles.
-    fn point_to_point_inner<F: Fn(u32, u32) -> bool>(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        scratch: &mut DijkstraScratch,
-        masked: F,
-    ) -> Option<Path> {
-        let ep = scratch.begin(self.n);
-        let DijkstraScratch {
-            nodes: recs,
-            heap,
-            settled_total,
-            ..
-        } = scratch;
-        seed(recs, heap, s.index(), ep);
-        // lint:hot: the settle loop. The target-reached exit leaves the
-        // region, so path reconstruction can allocate freely.
-        loop {
-            let u = pop(recs, heap, ep, settled_total)?;
-            if u == t.index() {
-                break;
-            }
-            self.relax(recs, heap, u, ep, &masked);
-        }
-
-        // Walk the parent chain back from `t` (cold: runs once per query).
-        let mut nodes = vec![t];
-        let mut edges = Vec::new();
-        let mut at = t.index();
-        while recs[at].parent_node != NO_NODE {
-            edges.push(EdgeId::new(recs[at].parent_edge as usize));
-            at = recs[at].parent_node as usize;
-            nodes.push(NodeId::new(at));
-        }
-        nodes.reverse();
-        edges.reverse();
-        Some(Path::from_parts_unchecked(nodes, edges))
+        let (a, b) = (s.index(), t.index());
+        let meeting = match mask {
+            Some(m) => self.two_sided(a, b, u128::MAX, scratch, |e, v| m.half_edge_masked(e, v)),
+            None => self.two_sided(a, b, u128::MAX, scratch, |_, _| false),
+        }?;
+        Some(scratch.join(meeting))
     }
 
     /// The end of the longest prefix of the path `nodes`/`edges` starting
@@ -646,7 +620,7 @@ impl CsrGraph {
                     break;
                 }
             }
-            self.relax(recs, heap, u, ep, |_, _| false);
+            self.relax(recs, heap, u, ep, |_, _| false, |_, _| {});
         }
         end
     }
@@ -666,10 +640,8 @@ impl CsrGraph {
     }
 
     /// Whether no `a → b` path is cheaper than `cost`, the padded cost of
-    /// a known one, by a two-sided Dijkstra from `a` and `b` that returns
-    /// `false` as soon as the sides meet below `cost`, and `true` once
-    /// every node either side has left unsettled is far enough out that
-    /// no path through it can be.
+    /// a known one: the two-sided search bounded by `cost` finds no
+    /// meeting below it.
     fn nothing_cheaper(
         &self,
         a: usize,
@@ -677,11 +649,48 @@ impl CsrGraph {
         cost: u128,
         scratch: &mut DijkstraScratch,
     ) -> bool {
-        if a == b {
-            // A path of one or more edges back to its start is never a
-            // shortest path.
-            return false;
-        }
+        // A path of one or more edges back to its start is never a
+        // shortest path.
+        a != b && self.two_sided(a, b, cost, scratch, |_, _| false).is_none()
+    }
+
+    /// The two-sided search: a Dijkstra from `s` on the scratch's forward
+    /// side and one from `t` on its backward side (an undirected edge
+    /// weighs the same both ways, so the backward side's distances are
+    /// distances to `t`), always expanding the side whose frontier is
+    /// nearer. Each live half-edge a side relaxes is checked against the
+    /// other side's record: a node the other side has reached closes an
+    /// `s → t` walk, and the cheapest one below `bound` is kept.
+    ///
+    /// The search stops once the two frontier keys, each lowered by
+    /// `NODE_MASK`, add up to at least the cheapest meeting (or `bound`):
+    /// `heap_key` moves a distance by less than `NODE_MASK`, so every node
+    /// a side has not settled lies at least `key - NODE_MASK` from that
+    /// side's end, and a path on which a node the forward side has not
+    /// settled comes no later than one the backward side has not settled
+    /// costs at least the sum. Any other path has a hop `x → y` with its
+    /// whole prefix to `x` settled forward and `y` settled backward; when the
+    /// later of the two settled, it relaxed that hop into a node its own
+    /// side had not settled (each side settles the path's nodes in path
+    /// order, a padded edge apart) and met the other's final distance. A
+    /// side that runs dry has settled its end's whole component, the other
+    /// end included, so the hop into that end was checked too.
+    ///
+    /// Returns the cheapest meeting below `bound`, or `None` if there is
+    /// none. The meeting's two nodes hold the parent chains [`join`] walks:
+    /// a meeting of cost `c` was closed by records at their final
+    /// distances, and a relaxation replaces a parent only on a strictly
+    /// smaller distance, so neither chain changes afterwards.
+    ///
+    /// [`join`]: DijkstraScratch::join
+    fn two_sided<F: Fn(u32, u32) -> bool>(
+        &self,
+        s: usize,
+        t: usize,
+        bound: u128,
+        scratch: &mut DijkstraScratch,
+        masked: F,
+    ) -> Option<Meeting> {
         let ep = scratch.begin(self.n);
         scratch.begin_back(self.n);
         let DijkstraScratch {
@@ -692,18 +701,18 @@ impl CsrGraph {
             settled_total,
             ..
         } = scratch;
-        seed(fwd, fwd_heap, a, ep);
-        seed(bwd, bwd_heap, b, ep);
+        seed(fwd, fwd_heap, s, ep);
+        seed(bwd, bwd_heap, t, ep);
 
-        // lint:hot: the two-sided settle loop. It expands the side whose
-        // frontier is nearer; `heap_key` moves a distance by less than
-        // `NODE_MASK`, so every node a side has not settled lies at least
-        // `key - NODE_MASK` from that side's end.
+        let mut best = bound;
+        let mut meeting = None;
+        // lint:hot: the two-sided settle loop.
         while let (Some(&Reverse(kf)), Some(&Reverse(kb))) = (fwd_heap.peek(), bwd_heap.peek()) {
-            if kf.saturating_sub(NODE_MASK) + kb.saturating_sub(NODE_MASK) >= cost {
+            if kf.saturating_sub(NODE_MASK) + kb.saturating_sub(NODE_MASK) >= best {
                 break;
             }
-            let (recs, heap, other) = if kf <= kb {
+            let forward = kf <= kb;
+            let (recs, heap, other) = if forward {
                 (&mut *fwd, &mut *fwd_heap, &*bwd)
             } else {
                 (&mut *bwd, &mut *bwd_heap, &*fwd)
@@ -711,46 +720,42 @@ impl CsrGraph {
             let Some(u) = pop(recs, heap, ep, settled_total) else {
                 break;
             };
-            // Its own relax: each half-edge first checks the other side's
-            // record for a meeting below `cost`, and no parents are kept.
-            let d = recs[u].dist;
-            // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
-            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for he in &self.half[lo..hi] {
-                let vt = he.target;
-                let nd = d + he.weight;
-                let seen = &other[vt as usize];
-                if (seen.stamp == ep || seen.stamp == ep + 1) && nd + seen.dist < cost {
-                    return false;
+            self.relax(recs, heap, u, ep, &masked, |he, nd| {
+                let v = he.target as usize;
+                let seen = &other[v];
+                if (seen.stamp == ep || seen.stamp == ep + 1) && nd + seen.dist < best {
+                    best = nd + seen.dist;
+                    // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
+                    let (near, far) = (u as u32, he.target);
+                    let (a, b) = if forward { (near, far) } else { (far, near) };
+                    meeting = Some(Meeting {
+                        fwd: a,
+                        edge: he.edge,
+                        back: b,
+                    });
                 }
-                let rec = &mut recs[vt as usize];
-                if rec.stamp == ep + 1 {
-                    continue;
-                }
-                if rec.stamp != ep || nd < rec.dist {
-                    rec.dist = nd;
-                    rec.stamp = ep;
-                    // lint:allow(hot-path) — the scratch heap keeps its capacity across runs; pushes are amortized alloc-free
-                    heap.push(Reverse(heap_key(nd, vt)));
-                }
-            }
+            });
         }
-        true
+        meeting
     }
 
     /// The relax step: relaxes every live half-edge out of the settled
     /// node `u` into the nodes not yet settled this run, recording `u` as
     /// the parent of each node it improves. `masked(edge, to)` marks a
-    /// half-edge dead.
+    /// half-edge dead; `meet(half_edge, dist)` first sees each live
+    /// half-edge into an unsettled node with the distance it offers that
+    /// node (the two-sided search checks the other side there; the
+    /// one-sided searches pass a no-op).
     // lint:hot
     #[inline]
-    fn relax<F: Fn(u32, u32) -> bool>(
+    fn relax<F: Fn(u32, u32) -> bool, M: FnMut(&HalfEdge, u128)>(
         &self,
         recs: &mut [NodeRec],
         heap: &mut Heap,
         u: usize,
         ep: u32,
         masked: F,
+        mut meet: M,
     ) {
         let NodeRec {
             dist: d,
@@ -767,6 +772,7 @@ impl CsrGraph {
                 continue;
             }
             let nd = d + he.weight;
+            meet(he, nd);
             if rec.stamp != ep || nd < rec.dist {
                 *rec = NodeRec {
                     dist: nd,
@@ -964,6 +970,16 @@ struct NodeRec {
     parent_edge: u32,
 }
 
+/// Where the cheapest path a two-sided search found crosses between its
+/// sides: the half-edge `edge` from `fwd`, reached by the forward side, to
+/// `back`, reached by the backward side.
+#[derive(Clone, Copy)]
+struct Meeting {
+    fwd: u32,
+    edge: u32,
+    back: u32,
+}
+
 const EMPTY_REC: NodeRec = NodeRec {
     dist: 0,
     base: 0,
@@ -977,9 +993,9 @@ const EMPTY_REC: NodeRec = NodeRec {
 /// with epoch-stamped visited marks, so a fresh run only clears the heap
 /// and bumps an epoch — O(1) — instead of refilling O(n) arrays.
 ///
-/// [`CsrGraph::longest_tree_prefix`] also searches from the far end of
-/// the path; that side gets a second record array and heap, allocated on
-/// first use.
+/// [`CsrGraph::point_to_point`] and [`CsrGraph::longest_tree_prefix`]
+/// also search from the far end; that side gets a second record array and
+/// heap, allocated on first use.
 ///
 /// One scratch serves any number of runs over graphs up to its capacity
 /// (it grows on demand), and any mix of [`CsrGraph::full_tree_masked`],
@@ -1049,6 +1065,33 @@ impl DijkstraScratch {
             self.back.resize(n, EMPTY_REC);
             self.back_heap.reserve(n);
         }
+    }
+
+    /// The path a two-sided search found through `m`: the forward
+    /// parent chain from the source to `m.fwd`, the meeting edge, then
+    /// the backward parent chain from `m.back` out to the target (cold:
+    /// runs once per query).
+    fn join(&self, m: Meeting) -> Path {
+        let mut nodes = Vec::new();
+        let mut edges = Vec::new();
+        let mut at = m.fwd as usize;
+        nodes.push(NodeId::new(at));
+        while self.nodes[at].parent_node != NO_NODE {
+            edges.push(EdgeId::new(self.nodes[at].parent_edge as usize));
+            at = self.nodes[at].parent_node as usize;
+            nodes.push(NodeId::new(at));
+        }
+        nodes.reverse();
+        edges.reverse();
+        edges.push(EdgeId::new(m.edge as usize));
+        let mut at = m.back as usize;
+        nodes.push(NodeId::new(at));
+        while self.back[at].parent_node != NO_NODE {
+            edges.push(EdgeId::new(self.back[at].parent_edge as usize));
+            at = self.back[at].parent_node as usize;
+            nodes.push(NodeId::new(at));
+        }
+        Path::from_parts_unchecked(nodes, edges)
     }
 
     /// Number of runs served so far (reuses = `runs() - 1` for the first

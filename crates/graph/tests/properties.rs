@@ -452,3 +452,105 @@ fn scalar_searches_interleave_on_one_scratch() {
         },
     );
 }
+
+/// Every simple `s → t` path that avoids `set`, as (padded cost, nodes,
+/// edges), by depth-first enumeration.
+fn simple_paths(
+    g: &Graph,
+    model: &CostModel,
+    s: NodeId,
+    t: NodeId,
+    set: &FailureSet,
+) -> Vec<(u128, Vec<NodeId>, Vec<EdgeId>)> {
+    fn extend(
+        g: &Graph,
+        model: &CostModel,
+        t: NodeId,
+        set: &FailureSet,
+        walk: &mut (u128, Vec<NodeId>, Vec<EdgeId>),
+        out: &mut Vec<(u128, Vec<NodeId>, Vec<EdgeId>)>,
+    ) {
+        let at = *walk.1.last().expect("a walk starts at s");
+        if at == t {
+            out.push(walk.clone());
+            return;
+        }
+        for h in g.neighbors(at) {
+            if set.edge_failed(h.edge) || set.node_failed(h.to) || walk.1.contains(&h.to) {
+                continue;
+            }
+            let w = model.perturbed_weight(g, h.edge);
+            walk.0 += w;
+            walk.1.push(h.to);
+            walk.2.push(h.edge);
+            extend(g, model, t, set, walk, out);
+            walk.0 -= w;
+            walk.1.pop();
+            walk.2.pop();
+        }
+    }
+    let mut out = Vec::new();
+    if !set.node_failed(s) {
+        extend(g, model, t, set, &mut (0, vec![s], Vec::new()), &mut out);
+    }
+    out
+}
+
+/// Brute-force oracle for the two-sided search: on multigraphs of at most
+/// nine nodes, masked `point_to_point` returns the cheapest (by padded
+/// cost, which no other simple path ties) of every simple `s → t` path
+/// that avoids the failures, and `None` exactly when there is none.
+#[test]
+fn point_to_point_is_the_cheapest_simple_path() {
+    for case in 0..200u64 {
+        let mut rng = DetRng::seed_from_u64(case ^ 0xB0_7E_F0_4C);
+        let n = rng.gen_range(2..=9usize);
+        let mut g = Graph::new(n);
+        // Up to two edges per node, parallel edges allowed, no spine: some
+        // graphs come out disconnected.
+        for _ in 0..rng.gen_range(1..=2 * n) {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                g.add_edge(a, b, rng.gen_range(1..=6u32)).unwrap();
+            }
+        }
+        if g.edge_count() == 0 {
+            continue;
+        }
+        let seed = rng.gen_range(0..1000u64);
+        let mut scratch = DijkstraScratch::new(0);
+        for metric in [Metric::Weighted, Metric::Unweighted] {
+            let model = CostModel::new(metric, seed);
+            let csr = CsrGraph::new(&g, &model);
+            for _ in 0..8 {
+                let (s, t) = (
+                    NodeId::new(rng.gen_range(0..n)),
+                    NodeId::new(rng.gen_range(0..n)),
+                );
+                let mut set = FailureSet::new();
+                for _ in 0..rng.gen_range(0..=3usize) {
+                    set.fail_edge(EdgeId::new(rng.gen_range(0..g.edge_count())));
+                }
+                if rng.gen_bool(0.25) {
+                    set.fail_node(NodeId::new(rng.gen_range(0..n)));
+                }
+                let mut paths = simple_paths(&g, &model, s, t, &set);
+                paths.sort_by_key(|p| p.0);
+                if let [first, second, ..] = &paths[..] {
+                    assert!(first.0 < second.0, "case {case}: padded costs tie");
+                }
+                let mask = FailureMask::from_set(&csr, &set);
+                let mask = (!set.is_empty()).then_some(&mask);
+                let got = csr.point_to_point(s, t, mask, &mut scratch);
+                let want = paths
+                    .first()
+                    .map(|(_, nodes, edges)| (&nodes[..], &edges[..]));
+                assert_eq!(
+                    got.as_ref().map(|p| (p.nodes(), p.edges())),
+                    want,
+                    "case {case}, {metric:?}, {s} -> {t} under {set:?} on {g:?}"
+                );
+            }
+        }
+    }
+}

@@ -5,7 +5,8 @@
 //! needs — validating exported traces and metric snapshots round-trip, and
 //! parsing benchmark result files in the perf-regression gate. It is a
 //! strict recursive-descent parser over the full JSON grammar (RFC 8259),
-//! with numbers mapped to `f64`.
+//! with numbers mapped to `f64`. Arrays and objects may nest at most 128
+//! deep, so hostile input gets an error, not a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -95,6 +96,11 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// How deep arrays and objects may nest: far above anything the
+/// workspace writes (a few levels), and low enough that the recursive
+/// descent fits in any thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 ///
 /// ```
@@ -108,7 +114,11 @@ impl fmt::Display for JsonValue {
 /// A human-readable message with the byte offset of the first error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -121,6 +131,8 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -158,11 +170,28 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// An array or object, one level deeper than the current one.
+    fn nested(&mut self) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'[') {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
@@ -261,14 +290,19 @@ impl Parser<'_> {
         }
     }
 
+    /// Exactly four hex digits (`from_str_radix` alone would also take a
+    /// leading `+`).
     fn hex4(&mut self) -> Result<u32, String> {
-        let s = self
+        let digits = self
             .bytes
             .get(self.pos..self.pos + 4)
-            .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
-        let v = u32::from_str_radix(s, 16)
-            .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+        let v = digits.iter().try_fold(0u32, |v, &c| {
+            let d = (c as char)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            Ok::<u32, String>(v << 4 | d)
+        })?;
         self.pos += 4;
         Ok(v)
     }
@@ -291,18 +325,31 @@ impl Parser<'_> {
         char::from_u32(hi).ok_or_else(|| format!("lone surrogate at byte {}", self.pos))
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    /// Skips a run of digits, returning how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.pos += 1;
         }
+        self.pos - start
+    }
+
+    /// RFC 8259 `number`: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        let bad = || format!("bad number at byte {start}");
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let int_start = self.pos;
+        let int_len = self.digits();
+        if int_len == 0 || (int_len > 1 && self.bytes[int_start] == b'0') {
+            return Err(bad());
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
         if let Some(b'e' | b'E') = self.peek() {
@@ -310,14 +357,12 @@ impl Parser<'_> {
             if let Some(b'+' | b'-') = self.peek() {
                 self.pos += 1;
             }
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
+        text.parse::<f64>().map(JsonValue::Num).map_err(|_| bad())
     }
 }
 
@@ -354,5 +399,55 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1}").unwrap_err().contains("trailing"));
         assert!(parse("\"\\ud800x\"").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // Runs on the default test-thread stack: without the depth cap
+        // this recursed 200 000 frames deep and aborted the process.
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let too_deep = format!("[{deepest}]");
+        assert_eq!(
+            parse(&too_deep).unwrap_err(),
+            format!("nesting deeper than 128 at byte {MAX_DEPTH}")
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert!(parse("\"\\u+041\"").unwrap_err().contains("bad \\u escape"));
+        assert!(parse("\"\\u-041\"").is_err());
+        assert!(parse("\"\\u 041\"").is_err());
+        assert!(parse("\"\\u004\"").is_err());
+        assert_eq!(
+            parse("\"\\u004a\\u004A\"").unwrap(),
+            JsonValue::Str("JJ".to_string())
+        );
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for bad in [
+            "01", "-01", "00", "1.e5", "1.", ".5", "-", "1e", "1e+", "+1", "-.5",
+        ] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
+        for (good, want) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("1.5e5", 150_000.0),
+            ("1E-2", 0.01),
+            ("2e+3", 2_000.0),
+            ("-0.0e0", 0.0),
+        ] {
+            assert_eq!(parse(good).unwrap(), JsonValue::Num(want), "{good}");
+        }
     }
 }

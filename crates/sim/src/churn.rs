@@ -11,11 +11,12 @@
 //! disrupts and counting the routes each recovery lets revert to their
 //! base LSP.
 //!
-//! Every failure here exercises the incremental-repair fast path: the
+//! Every failure here exercises the stores' post-failure fast path: the
 //! restoration schemes compute their backup routes through
-//! `BasePathOracle::with_spt_under`, which repairs the source's cached
-//! shortest-path tree instead of re-running Dijkstra (see
-//! [`rbpc_graph::repair_after_failures`]).
+//! `BasePathOracle::path_under`, which the dense store answers by
+//! repairing the source's cached shortest-path tree (see
+//! [`rbpc_graph::repair_after_failures`]) and the lazy and sharded stores
+//! by one two-sided search, never by re-running Dijkstra from scratch.
 
 use crate::{outage_under, LatencyModel, Scheme};
 use rbpc_core::BasePathOracle;
